@@ -27,8 +27,8 @@
  * Usage: fault_campaign [--trials=small|full] [--seed=N]
  */
 
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -36,32 +36,14 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/sharded.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "harness.hpp"
 #include "reliability/scrubber.hpp"
 #include "service/ingest.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
 
 namespace {
-
-/** Inner members of a "fabric_attr" JSON object for one cell. */
-std::string
-attrJson(const double (&attr)[cim::kFabricCatCount])
-{
-    std::string out;
-    char buf[64];
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c) {
-        std::snprintf(
-            buf, sizeof(buf), "\"%s\": %.1f%s",
-            cim::fabricCatName(static_cast<cim::FabricCat>(c)),
-            attr[c], c + 1 < cim::kFabricCatCount ? ", " : "");
-        out += buf;
-    }
-    return out;
-}
 
 struct CampaignScale
 {
@@ -82,10 +64,7 @@ struct Cell
     size_t silentErrors = 0;
     int64_t maxAbsErr = 0;
     double wallS = 0.0;
-    double fabricNs = 0.0;
-    double fabricNj = 0.0;
-    double attrNs[cim::kFabricCatCount] = {};
-    bool ledgerExact = false;
+    bench::FabricCell fabric{};
     double sweepFabricNs = 0.0;
     uint64_t fabricCommands = 0;
     uint64_t retries = 0;
@@ -96,9 +75,33 @@ struct Cell
     uint64_t wordsRecovered = 0;
     uint64_t faultsInjected = 0;
     double estRate = 0.0;
-    uint64_t traceEvents = 0;
-    uint64_t rssKb = 0;
     double overhead = 1.0; ///< wall time vs backend's clean baseline
+
+    bench::JsonObject
+    json() const
+    {
+        bench::JsonObject j;
+        j.str("backend", backend)
+            .str("protection", protection)
+            .flag("scrub", scrub)
+            .num("fault_rate", rate, "%.1e")
+            .count("silent_errors", silentErrors)
+            .count("max_abs_err", static_cast<uint64_t>(maxAbsErr))
+            .num("wall_s", wallS, "%.4f")
+            .num("overhead", overhead, "%.3f")
+            .fabric(fabric, false)
+            .num("sweep_fabric_ns", sweepFabricNs)
+            .count("fabric_commands", fabricCommands)
+            .count("retries", retries)
+            .count("uncorrected_blocks", uncorrectedBlocks)
+            .count("faults_injected", faultsInjected)
+            .count("sweeps", sweeps)
+            .count("faulty_bits", faultyBits)
+            .count("bits_corrected", bitsCorrected)
+            .count("words_recovered", wordsRecovered)
+            .num("est_fault_rate", estRate, "%.3e");
+        return j;
+    }
 };
 
 struct Scheme
@@ -154,8 +157,7 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
 {
     Cell cell{core::backendName(backend), scheme.name, scheme.scrub,
               rate};
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
+    const uint64_t trace0 = bench::traceMark();
 
     const auto cfg =
         cellConfig(backend, scheme, rate, scale.counters, seed);
@@ -173,8 +175,7 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
     service::submitConcurrent(svc, ops, scale.producers);
     const auto snap = svc.snapshot();
     svc.stop();
-    cell.wallS =
-        std::chrono::duration<double>(Clock::now() - t0).count();
+    cell.wallS = bench::secondsSince(t0);
 
     for (size_t i = 0; i < expected.size(); ++i) {
         const int64_t err = snap.counters[i] - expected[i];
@@ -184,13 +185,10 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
                 std::max<int64_t>(cell.maxAbsErr, std::abs(err));
         }
     }
+    // The engine lives for this cell only: its lifetime stats are
+    // exactly the cell's work.
     const auto es = eng.stats();
     cell.fabricCommands = es.fabric.commands();
-    cell.fabricNs = es.fabric.fabricNs;
-    cell.fabricNj = es.fabric.fabricNj;
-    for (unsigned a = 0; a < cim::kFabricCatCount; ++a)
-        cell.attrNs[a] = es.fabric.attrNs[a];
-    cell.ledgerExact = obs::FabricLedger::fromStats(es).exact();
     cell.faultsInjected = es.fabric.faultsInjected;
     cell.retries = es.retries;
     cell.uncorrectedBlocks = es.uncorrectedBlocks;
@@ -203,8 +201,7 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
         cell.sweepFabricNs = ss.sweepFabricNs;
         cell.estRate = scrub->health().estimatedFaultRate();
     }
-    cell.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-    cell.rssKb = obs::hostRssKb();
+    cell.fabric = bench::FabricCell::of(es, trace0);
     return cell;
 }
 
@@ -215,26 +212,20 @@ main(int argc, char **argv)
 {
     bool small = false;
     uint64_t seed = 12345;
-    const char *trace_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trials=small"))
-            small = true;
-        else if (!std::strcmp(argv[i], "--trials=full"))
-            small = false;
-        else if (!std::strncmp(argv[i], "--seed=", 7))
-            seed = std::strtoull(argv[i] + 7, nullptr, 10);
-        else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else {
-            std::printf("usage: %s [--trials=small|full] [--seed=N] "
-                        "[--trace FILE]\n",
-                        argv[0]);
-            return 2;
-        }
-    }
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
+    bench::Harness h(argc, argv, 0, "[--trials=small|full] [--seed=N] ",
+                     [&](const char *arg) {
+                         if (!std::strcmp(arg, "--trials=small"))
+                             small = true;
+                         else if (!std::strcmp(arg, "--trials=full"))
+                             small = false;
+                         else if (!std::strncmp(arg, "--seed=", 7))
+                             seed = std::strtoull(arg + 7, nullptr, 10);
+                         else
+                             return false;
+                         return true;
+                     });
+    if (!h.ok())
+        return 2;
 
     const CampaignScale scale =
         small ? CampaignScale{96, 2000, 4, 2, {1e-4, 1e-3, 1e-2}}
@@ -317,89 +308,25 @@ main(int argc, char **argv)
                         c.silentErrors);
         }
     }
-    std::printf("gate: %zu scrub cells at protected operating "
-                "points, %zu violations\n",
-                gate_checked, gate_violations);
+    h.check(gate_violations == 0,
+            "gate: %zu scrub cells at protected operating points, %zu "
+            "violations",
+            gate_checked, gate_violations);
+    h.checkFabric(cells);
 
-    bool all_fabric = true;
+    bench::JsonObject top;
+    top.str("bench", "fault_campaign")
+        .str("trials", small ? "small" : "full")
+        .count("seed", seed)
+        .count("counters", scale.counters)
+        .count("ops", scale.ops)
+        .count("shards", scale.shards)
+        .count("producers", scale.producers)
+        .count("gate_checked", gate_checked)
+        .count("gate_violations", gate_violations);
+    std::vector<bench::JsonObject> rows;
     for (const auto &c : cells)
-        all_fabric =
-            all_fabric && c.fabricNs > 0.0 && c.fabricNj > 0.0;
-    std::printf("every cell reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-    bool all_ledger = true;
-    for (const auto &c : cells)
-        all_ledger = all_ledger && c.ledgerExact;
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-
-    if (std::FILE *f = std::fopen("BENCH_reliability.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"fault_campaign\",\n"
-                     "  \"trials\": \"%s\",\n  \"seed\": %llu,\n"
-                     "  \"counters\": %zu,\n  \"ops\": %zu,\n"
-                     "  \"shards\": %u,\n  \"producers\": %u,\n"
-                     "  \"gate_checked\": %zu,\n"
-                     "  \"gate_violations\": %zu,\n"
-                     "  \"cells\": [\n",
-                     small ? "small" : "full",
-                     static_cast<unsigned long long>(seed),
-                     scale.counters, scale.ops, scale.shards,
-                     scale.producers, gate_checked, gate_violations);
-        for (size_t i = 0; i < cells.size(); ++i) {
-            const auto &c = cells[i];
-            std::fprintf(
-                f,
-                "    {\"backend\": \"%s\", \"protection\": \"%s\", "
-                "\"scrub\": %s, \"fault_rate\": %.1e, "
-                "\"silent_errors\": %zu, \"max_abs_err\": %lld, "
-                "\"wall_s\": %.4f, \"overhead\": %.3f, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {%s}, "
-                "\"sweep_fabric_ns\": %.1f, "
-                "\"fabric_commands\": %llu, \"retries\": %llu, "
-                "\"uncorrected_blocks\": %llu, "
-                "\"faults_injected\": %llu, \"sweeps\": %llu, "
-                "\"faulty_bits\": %llu, \"bits_corrected\": %llu, "
-                "\"words_recovered\": %llu, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu, "
-                "\"est_fault_rate\": %.3e}%s\n",
-                c.backend, c.protection, c.scrub ? "true" : "false",
-                c.rate, c.silentErrors,
-                static_cast<long long>(c.maxAbsErr), c.wallS,
-                c.overhead, c.fabricNs, c.fabricNj,
-                c.ledgerExact ? "true" : "false",
-                attrJson(c.attrNs).c_str(), c.sweepFabricNs,
-                static_cast<unsigned long long>(c.fabricCommands),
-                static_cast<unsigned long long>(c.retries),
-                static_cast<unsigned long long>(c.uncorrectedBlocks),
-                static_cast<unsigned long long>(c.faultsInjected),
-                static_cast<unsigned long long>(c.sweeps),
-                static_cast<unsigned long long>(c.faultyBits),
-                static_cast<unsigned long long>(c.bitsCorrected),
-                static_cast<unsigned long long>(c.wordsRecovered),
-                static_cast<unsigned long long>(c.traceEvents),
-                static_cast<unsigned long long>(c.rssKb),
-                c.estRate, i + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_reliability.json\n");
-    }
-
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-    }
-    return (gate_violations == 0 && all_fabric && all_ledger)
-               ? 0
-               : 1;
+        rows.push_back(c.json());
+    bench::writeBenchJson("BENCH_reliability.json", top, "cells", rows);
+    return h.finish();
 }

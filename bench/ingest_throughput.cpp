@@ -45,9 +45,7 @@
  * Usage: ingest_throughput [--trace FILE] [--metrics FILE]
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -55,36 +53,35 @@
 #include "common/table.hpp"
 #include "core/gpu_model.hpp"
 #include "core/sharded.hpp"
+#include "harness.hpp"
 #include "obs/analyze.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
 #include "reliability/scrubber.hpp"
 #include "service/ingest.hpp"
 #include "virt/virtspace.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::secondsSince;
 
 namespace {
 
 constexpr size_t kNumCounters = 4096;
 constexpr size_t kNumOps = 4096;
 
-// --metrics plumbing: one registry for the run, one counter source
-// reading whatever the cell that just finished reported. The bench is
-// single-threaded between cells, so a plain global map suffices.
-obs::MetricsRegistry *g_metrics = nullptr;
-std::FILE *g_metricsFile = nullptr;
+// The cell that just finished, as the run's "cell" metrics source
+// reads it. The bench is single-threaded between cells, so a plain
+// global map suffices.
 CounterMap g_cellReport;
 // Anomaly watchdog over the per-cell snapshots (always runs; the
 // registry is snapshotted per cell even without --metrics).
 obs::Watchdog g_watchdog;
 
-double
-secondsSince(Clock::time_point t0)
+/** Snapshot the run's metrics after a cell; the watchdog checks it. */
+void
+sampleCell(bench::Harness &h, CounterMap report)
 {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
+    g_cellReport = std::move(report);
+    g_watchdog.evaluate(h.snapshotMetrics());
 }
 
 core::EngineConfig
@@ -97,22 +94,6 @@ engineConfig(bool planner = true)
     cfg.maxMaskRows = 1;
     cfg.drainPlanner = planner;
     return cfg;
-}
-
-/** Inner members of a "fabric_attr" JSON object for one cell. */
-std::string
-attrJson(const double (&attr)[cim::kFabricCatCount])
-{
-    std::string out;
-    char buf[64];
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c) {
-        std::snprintf(
-            buf, sizeof(buf), "\"%s\": %.1f%s",
-            cim::fabricCatName(static_cast<cim::FabricCat>(c)),
-            attr[c], c + 1 < cim::kFabricCatCount ? ", " : "");
-        out += buf;
-    }
-    return out;
 }
 
 std::vector<core::BatchOp>
@@ -139,16 +120,6 @@ makeStream(bool zipf)
     return ops;
 }
 
-/** Blocking baseline: one engine, one point mask, op after op. */
-std::vector<int64_t>
-serialReplay(const std::vector<core::BatchOp> &ops, double *time_s)
-{
-    const auto t0 = Clock::now();
-    auto counters = core::replaySerial(engineConfig(), ops);
-    *time_s = secondsSince(t0);
-    return counters;
-}
-
 struct Cell
 {
     const char *dist;
@@ -160,37 +131,23 @@ struct Cell
     double opsPerS = 0.0;
     uint64_t fabricInputs = 0;
     uint64_t fabricIncrements = 0;
-    uint64_t coalesced = 0;
-    uint64_t epochs = 0;
-    uint64_t steals = 0;
-    uint64_t stalls = 0;
-    uint64_t plans = 0;
     uint64_t planPrograms = 0;
-    uint64_t plannedOps = 0;
-    uint64_t planFallbackOps = 0;
     uint64_t cacheHits = 0;
     uint64_t cacheMisses = 0;
-    double fabricNs = 0.0;
-    double fabricNj = 0.0;
-    double fabricCriticalNs = 0.0;
-    double attrNs[cim::kFabricCatCount] = {};
-    bool ledgerExact = false;
-    size_t minDrainOps = kNumOps;
-    uint64_t traceEvents = 0;
-    uint64_t rssKb = 0;
+    bench::FabricCell fabric{};
     bool match = false;
+    bench::JsonObject json{};
 };
 
 Cell
-runCell(const char *dist, const std::vector<core::BatchOp> &ops,
+runCell(bench::Harness &h, const char *dist,
+        const std::vector<core::BatchOp> &ops,
         const std::vector<int64_t> &reference, unsigned shards,
         unsigned producers, bool coalesce, bool planner,
         size_t min_drain_ops = kNumOps, size_t chunks = 1)
 {
     Cell cell{dist, shards, producers, coalesce, planner};
-    cell.minDrainOps = min_drain_ops;
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
+    const uint64_t trace0 = bench::traceMark();
     core::ShardedEngine engine(engineConfig(planner), shards);
     service::IngestConfig icfg;
     icfg.coalesce = coalesce;
@@ -224,40 +181,43 @@ runCell(const char *dist, const std::vector<core::BatchOp> &ops,
     cell.opsPerS = static_cast<double>(kNumOps) / cell.timeS;
     cell.match = counters == reference;
 
+    // The engine lives for this cell only: its lifetime stats are
+    // exactly the cell's work.
     const auto sst = svc.serviceStats();
     const auto est = svc.engineStats();
     cell.fabricInputs = est.inputsAccumulated;
     cell.fabricIncrements = est.increments;
-    cell.coalesced = sst.coalesced;
-    cell.epochs = sst.epochs;
-    cell.steals = sst.steals;
-    cell.stalls = sst.stalls;
-    cell.plans = sst.plans;
     cell.planPrograms = sst.planPrograms;
-    cell.plannedOps = sst.plannedOps;
-    cell.planFallbackOps = sst.planFallbackOps;
     cell.cacheHits = est.programCacheHits;
     cell.cacheMisses = est.programCacheMisses;
-    cell.fabricNs = est.fabric.fabricNs;
-    cell.fabricNj = est.fabric.fabricNj;
-    cell.fabricCriticalNs = est.fabricCriticalNs;
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c)
-        cell.attrNs[c] = est.fabric.attrNs[c];
-    cell.ledgerExact = obs::FabricLedger::fromStats(est).exact();
-    cell.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-    cell.rssKb = obs::hostRssKb();
+    cell.fabric = bench::FabricCell::of(est, trace0);
+    cell.json.str("dist", dist)
+        .count("shards", shards)
+        .count("producers", producers)
+        .flag("coalesce", coalesce)
+        .flag("planner", planner)
+        .num("time_s", cell.timeS, "%.6f")
+        .num("ops_per_s", cell.opsPerS)
+        .count("fabric_inputs", est.inputsAccumulated)
+        .count("fabric_increments", est.increments)
+        .count("coalesced", sst.coalesced)
+        .count("epochs", sst.epochs)
+        .count("steals", sst.steals)
+        .count("stalls", sst.stalls)
+        .count("plans", sst.plans)
+        .count("plan_programs", sst.planPrograms)
+        .count("planned_ops", sst.plannedOps)
+        .count("plan_fallback_ops", sst.planFallbackOps)
+        .count("cache_hits", est.programCacheHits)
+        .count("cache_misses", est.programCacheMisses)
+        .count("min_drain_ops", min_drain_ops)
+        .fabric(cell.fabric)
+        .flag("match_reference", cell.match);
 
-    if (g_metrics) {
-        g_metrics->histogram("cell_time_us")
-            .record(static_cast<uint64_t>(cell.timeS * 1e6));
-        g_cellReport = svc.report();
-        const auto snap = g_metrics->snapshot();
-        g_watchdog.evaluate(snap);
-        if (g_metricsFile) {
-            const std::string line = g_metrics->renderJsonLine(snap);
-            std::fwrite(line.data(), 1, line.size(), g_metricsFile);
-        }
-    }
+    h.metrics()
+        .histogram("cell_time_us")
+        .record(static_cast<uint64_t>(cell.timeS * 1e6));
+    sampleCell(h, svc.report());
     return cell;
 }
 
@@ -281,10 +241,9 @@ struct Showcase
  * epochs — it contributes nothing to the exit gates.
  */
 Showcase
-runObservabilityShowcase()
+runObservabilityShowcase(bench::Harness &h)
 {
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
+    const uint64_t trace0 = bench::traceMark();
 
     core::EngineConfig cfg = engineConfig();
     cfg.numCounters = 128;
@@ -334,17 +293,8 @@ runObservabilityShowcase()
     sc.spills = st.spills;
     sc.restores = st.restores;
     sc.sweeps = scrub.stats().sweeps;
-    sc.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-
-    if (g_metrics) {
-        g_cellReport = space.report();
-        const auto snap = g_metrics->snapshot();
-        g_watchdog.evaluate(snap);
-        if (g_metricsFile) {
-            const std::string line = g_metrics->renderJsonLine(snap);
-            std::fwrite(line.data(), 1, line.size(), g_metricsFile);
-        }
-    }
+    sc.traceEvents = bench::traceMark() - trace0;
+    sampleCell(h, space.report());
     return sc;
 }
 
@@ -353,38 +303,14 @@ runObservabilityShowcase()
 int
 main(int argc, char **argv)
 {
-    const char *trace_path = nullptr;
-    const char *metrics_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc)
-            metrics_path = argv[++i];
-        else {
-            std::printf(
-                "usage: %s [--trace FILE] [--metrics FILE]\n",
-                argv[0]);
-            return 2;
-        }
-    }
-
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
-    obs::MetricsRegistry registry;
-    g_metrics = &registry;
-    registry.addCounterSource("cell", [] { return g_cellReport; });
+    bench::Harness h(argc, argv, bench::kMetricsFlag);
+    if (!h.ok())
+        return 2;
+    h.metrics().addCounterSource("cell", [] { return g_cellReport; });
     // The watchdog's own alert totals fold into the stream it
     // watches, one snapshot behind.
-    registry.addCounterSource("watchdog",
-                              [] { return g_watchdog.counters(); });
-    if (metrics_path) {
-        g_metricsFile = std::fopen(metrics_path, "w");
-        if (!g_metricsFile) {
-            std::printf("cannot open %s\n", metrics_path);
-            return 2;
-        }
-    }
+    h.metrics().addCounterSource("watchdog",
+                                 [] { return g_watchdog.counters(); });
 
     std::printf("async ingest throughput: %zu ops over %zu "
                 "counters, one-epoch coalescing window\n",
@@ -398,8 +324,9 @@ main(int argc, char **argv)
     for (const bool zipf : {false, true}) {
         const char *dist = zipf ? "zipf1.0" : "uniform";
         const auto ops = makeStream(zipf);
-        double replay_s = 0.0;
-        const auto reference = serialReplay(ops, &replay_s);
+        const auto t0 = Clock::now();
+        const auto reference = core::replaySerial(engineConfig(), ops);
+        const double replay_s = secondsSince(t0);
         std::printf("%s: serial blocking replay %.3fs (%.0f ops/s)\n",
                     dist, replay_s,
                     static_cast<double>(kNumOps) / replay_s);
@@ -408,7 +335,7 @@ main(int argc, char **argv)
                 for (const bool coalesce : {false, true}) {
                     for (const bool planner : {false, true}) {
                         const auto cell =
-                            runCell(dist, ops, reference, shards,
+                            runCell(h, dist, ops, reference, shards,
                                     producers, coalesce, planner);
                         all_match = all_match && cell.match;
                         if (zipf && shards == 4 && producers == 4 &&
@@ -438,7 +365,7 @@ main(int argc, char **argv)
             // persistent reserved mask rows, so the plan programs
             // generated in the first epochs replay from the
             // ProgramCache in every later one.
-            auto cell = runCell("zipf-16ep", ops, reference, 4, 4,
+            auto cell = runCell(h, "zipf-16ep", ops, reference, 4, 4,
                                 true, true, kNumOps / 16, 16);
             all_match = all_match && cell.match;
             const uint64_t lookups =
@@ -453,7 +380,7 @@ main(int argc, char **argv)
             // 8-shard engine with coalescing and the hierarchical
             // gang-issue drain both on — the configuration the
             // merged planner exists for.
-            auto hot = runCell(dist, ops, reference, 8, 16, true,
+            auto hot = runCell(h, dist, ops, reference, 8, 16, true,
                                true);
             all_match = all_match && hot.match;
             cells.push_back(hot);
@@ -463,7 +390,7 @@ main(int argc, char **argv)
     // Showcase cell after the gated grid: scrub sweeps and virt
     // spill/restore activity on the same recorder, so a --trace run
     // shows every event family the tracer knows about.
-    const Showcase showcase = runObservabilityShowcase();
+    const Showcase showcase = runObservabilityShowcase(h);
     std::printf("showcase (virt+scrub over ingest): %llu promotions, "
                 "%llu spills, %llu restores, %llu sweeps\n",
                 static_cast<unsigned long long>(showcase.promotions),
@@ -483,37 +410,28 @@ main(int argc, char **argv)
                   std::to_string(c.fabricInputs),
                   std::to_string(c.fabricIncrements),
                   std::to_string(c.planPrograms),
-                  TextTable::fmt(c.fabricNs / 1e3, 1),
+                  TextTable::fmt(c.fabric.ns / 1e3, 1),
                   c.match ? "yes" : "NO"});
     std::printf("%s", t.render().c_str());
-
-    bool all_fabric = true;
-    for (const auto &c : cells)
-        all_fabric = all_fabric && c.fabricNs > 0.0 &&
-                     c.fabricNj > 0.0 && c.fabricCriticalNs > 0.0;
-    bool all_ledger = true;
-    for (const auto &c : cells)
-        all_ledger = all_ledger && c.ledgerExact;
 
     const double reduction = zipf_on > 0.0 ? zipf_off / zipf_on : 0.0;
     const double plan_reduction =
         zipf_prog_plan > 0.0 ? zipf_prog_noplan / zipf_prog_plan
                              : 0.0;
-    std::printf("zipf 4x4 fabric-op reduction from coalescing: "
-                "%.2fx (need >= 2x)\n",
-                reduction);
-    std::printf("zipf 4x4 fabric-program reduction from the drain "
-                "planner: %.2fx (need >= 5x)\n",
-                plan_reduction);
-    std::printf("multi-epoch plan-path cache hit rate: %.1f%% "
-                "(need > 90%%)\n",
-                100.0 * cache_hit_rate);
-    std::printf("every cell reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-    std::printf("all cells bit-identical to serial replay: %s\n",
-                all_match ? "yes" : "NO");
+    h.check(reduction >= 2.0,
+            "zipf 4x4 fabric-op reduction from coalescing: %.2fx "
+            "(need >= 2x)",
+            reduction);
+    h.check(plan_reduction >= 5.0,
+            "zipf 4x4 fabric-program reduction from the drain "
+            "planner: %.2fx (need >= 5x)",
+            plan_reduction);
+    h.check(cache_hit_rate > 0.9,
+            "multi-epoch plan-path cache hit rate: %.1f%% (need > "
+            "90%%)",
+            100.0 * cache_hit_rate);
+    h.checkFabric(cells);
+    h.check(all_match, "all cells bit-identical to serial replay");
     const CounterMap wd = g_watchdog.counters();
     std::printf("watchdog: %llu evaluations, %llu alerts\n",
                 static_cast<unsigned long long>(
@@ -529,120 +447,33 @@ main(int argc, char **argv)
                 "%.1f uJ\n",
                 gpu.ns / 1e3, gpu.nj / 1e3);
 
-    if (std::FILE *f = std::fopen("BENCH_ingest.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"ingest_throughput\",\n"
-                     "  \"num_ops\": %zu,\n"
-                     "  \"num_counters\": %zu,\n"
-                     "  \"zipf_4x4_fabric_reduction\": %.3f,\n"
-                     "  \"plan_reduction\": %.3f,\n"
-                     "  \"plan_cache_hit_rate\": %.4f,\n"
-                     "  \"all_match_serial_replay\": %s,\n"
-                     "  \"all_ledger_exact\": %s,\n"
-                     "  \"gpu_model\": {\"name\": \"rtx3090ti\", "
-                     "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f},\n"
-                     "  \"watchdog_evaluations\": %llu,\n"
-                     "  \"watchdog_alerts\": %llu,\n"
-                     "  \"showcase\": {\"promotions\": %llu, "
-                     "\"spills\": %llu, \"restores\": %llu, "
-                     "\"sweeps\": %llu, \"trace_events\": %llu},\n"
-                     "  \"cells\": [\n",
-                     kNumOps, kNumCounters, reduction, plan_reduction,
-                     cache_hit_rate, all_match ? "true" : "false",
-                     all_ledger ? "true" : "false",
-                     gpu.ns, gpu.nj,
-                     static_cast<unsigned long long>(
-                         wd.at("evaluations")),
-                     static_cast<unsigned long long>(wd.at("alerts")),
-                     static_cast<unsigned long long>(
-                         showcase.promotions),
-                     static_cast<unsigned long long>(showcase.spills),
-                     static_cast<unsigned long long>(
-                         showcase.restores),
-                     static_cast<unsigned long long>(showcase.sweeps),
-                     static_cast<unsigned long long>(
-                         showcase.traceEvents));
-        for (size_t i = 0; i < cells.size(); ++i) {
-            const auto &c = cells[i];
-            std::fprintf(
-                f,
-                "    {\"dist\": \"%s\", \"shards\": %u, "
-                "\"producers\": %u, \"coalesce\": %s, "
-                "\"planner\": %s, "
-                "\"time_s\": %.6f, \"ops_per_s\": %.1f, "
-                "\"fabric_inputs\": %llu, "
-                "\"fabric_increments\": %llu, "
-                "\"coalesced\": %llu, \"epochs\": %llu, "
-                "\"steals\": %llu, \"stalls\": %llu, "
-                "\"plans\": %llu, \"plan_programs\": %llu, "
-                "\"planned_ops\": %llu, "
-                "\"plan_fallback_ops\": %llu, "
-                "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                "\"min_drain_ops\": %zu, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"fabric_critical_ns\": %.1f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {%s}, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu, "
-                "\"match_reference\": %s}%s\n",
-                c.dist, c.shards, c.producers,
-                c.coalesce ? "true" : "false",
-                c.planner ? "true" : "false", c.timeS, c.opsPerS,
-                static_cast<unsigned long long>(c.fabricInputs),
-                static_cast<unsigned long long>(c.fabricIncrements),
-                static_cast<unsigned long long>(c.coalesced),
-                static_cast<unsigned long long>(c.epochs),
-                static_cast<unsigned long long>(c.steals),
-                static_cast<unsigned long long>(c.stalls),
-                static_cast<unsigned long long>(c.plans),
-                static_cast<unsigned long long>(c.planPrograms),
-                static_cast<unsigned long long>(c.plannedOps),
-                static_cast<unsigned long long>(c.planFallbackOps),
-                static_cast<unsigned long long>(c.cacheHits),
-                static_cast<unsigned long long>(c.cacheMisses),
-                c.minDrainOps, c.fabricNs, c.fabricNj,
-                c.fabricCriticalNs, c.ledgerExact ? "true" : "false",
-                attrJson(c.attrNs).c_str(),
-                static_cast<unsigned long long>(c.traceEvents),
-                static_cast<unsigned long long>(c.rssKb),
-                c.match ? "true" : "false",
-                i + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_ingest.json\n");
-    }
-
-    if (g_metricsFile) {
-        std::fclose(g_metricsFile);
-        g_metricsFile = nullptr;
-        g_metrics = nullptr;
-        std::printf("wrote %s (%llu snapshots)\n", metrics_path,
-                    static_cast<unsigned long long>(
-                        registry.snapshotCount()));
-    }
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-        // Per-epoch critical-path profile of the whole run — the
-        // same analysis tools/trace_analyze performs offline.
-        const auto prof = obs::profileFromRecorder(recorder);
-        std::printf("epoch critical-path profile:\n%s",
-                    obs::renderEpochProfiles(
-                        obs::buildEpochProfiles(prof))
-                        .c_str());
-    }
-
-    return (reduction >= 2.0 && plan_reduction >= 5.0 &&
-            cache_hit_rate > 0.9 && all_fabric && all_match &&
-            all_ledger)
-               ? 0
-               : 1;
+    bool all_ledger = true;
+    for (const auto &c : cells)
+        all_ledger = all_ledger && c.fabric.ledgerExact;
+    bench::JsonObject top;
+    top.str("bench", "ingest_throughput")
+        .count("num_ops", kNumOps)
+        .count("num_counters", kNumCounters)
+        .num("zipf_4x4_fabric_reduction", reduction, "%.3f")
+        .num("plan_reduction", plan_reduction, "%.3f")
+        .num("plan_cache_hit_rate", cache_hit_rate, "%.4f")
+        .flag("all_match_serial_replay", all_match)
+        .flag("all_ledger_exact", all_ledger)
+        .obj("gpu_model", bench::JsonObject()
+                              .str("name", "rtx3090ti")
+                              .num("fabric_ns", gpu.ns)
+                              .num("fabric_nj", gpu.nj))
+        .count("watchdog_evaluations", wd.at("evaluations"))
+        .count("watchdog_alerts", wd.at("alerts"))
+        .obj("showcase", bench::JsonObject()
+                             .count("promotions", showcase.promotions)
+                             .count("spills", showcase.spills)
+                             .count("restores", showcase.restores)
+                             .count("sweeps", showcase.sweeps)
+                             .count("trace_events", showcase.traceEvents));
+    std::vector<bench::JsonObject> rows;
+    for (const auto &c : cells)
+        rows.push_back(c.json);
+    bench::writeBenchJson("BENCH_ingest.json", top, "cells", rows);
+    return h.finish();
 }

@@ -14,7 +14,8 @@
  * serial replay baseline.
  *
  * Every row also reports the modeled fabric cost (EngineStats fabric
- * ns/nj plus the tFAW/tRRD-floored critical path, docs/perf.md), and
+ * ns/nj plus the tFAW/tRRD-floored critical path, docs/perf.md) of
+ * the measured batch alone, read through a core::StatsWindow, and
  * the JSON carries an analytical GPU baseline (GpuModel::countingRun)
  * costed on the same axis for the Fig. 14-style comparison.
  *
@@ -25,64 +26,27 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/gpu_model.hpp"
 #include "core/sharded.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "harness.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
-
-namespace {
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
+using bench::Clock;
+using bench::secondsSince;
 
 int
 main(int argc, char **argv)
 {
-    const char *trace_path = nullptr;
-    const char *metrics_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else if (!std::strcmp(argv[i], "--metrics") && i + 1 < argc)
-            metrics_path = argv[++i];
-        else {
-            std::printf(
-                "usage: %s [--trace FILE] [--metrics FILE]\n",
-                argv[0]);
-            return 2;
-        }
-    }
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
-    obs::MetricsRegistry registry;
+    bench::Harness h(argc, argv, bench::kMetricsFlag);
+    if (!h.ok())
+        return 2;
     CounterMap row_report;
-    std::FILE *metrics_file = nullptr;
-    if (metrics_path) {
-        metrics_file = std::fopen(metrics_path, "w");
-        if (!metrics_file) {
-            std::printf("cannot open %s\n", metrics_path);
-            return 2;
-        }
-        registry.addCounterSource("row",
-                                  [&] { return row_report; });
-    }
+    h.metrics().addCounterSource("row", [&] { return row_report; });
 
     core::EngineConfig cfg;
     cfg.radix = 4;
@@ -109,24 +73,9 @@ main(int argc, char **argv)
     {
         bool planner;
         unsigned shards;
-        double timeS;
-        double opsPerS;
         double speedup;
-        uint64_t increments;
-        uint64_t planPrograms;
-        uint64_t planFallbackOps;
-        double cacheHitFrac;
-        double fabricNs;
-        double fabricNj;
-        double fabricCriticalNs;
-        double attrNs[cim::kFabricCatCount];
-        double fabricSkew;       ///< straggler / mean shard fabric ns
-        unsigned criticalShard;  ///< shard with the largest fabric ns
-        double parallelEff;      ///< (total/shards) / critical path
-        bool ledgerExact;        ///< attribution rows sum to fabric_ns
-        uint64_t traceEvents;
-        uint64_t rssKb;
-        bool match;
+        bench::FabricCell fabric;
+        bench::JsonObject json;
     };
     std::vector<Row> rows;
     const auto reference = core::replaySerial(cfg, ops);
@@ -157,15 +106,11 @@ main(int argc, char **argv)
                 best = std::min(best, secondsSince(tr0));
                 eng.clear();
             }
-            // Stats baseline after warm-up and timing reps: the
-            // reported numbers must attribute only the measured
-            // batch, not the per-op fallback activity before it.
-            const auto st0 = eng.stats();
-            std::vector<double> shard_fab0(shards);
-            for (unsigned s = 0; s < shards; ++s)
-                shard_fab0[s] = eng.shard(s).stats().fabric.fabricNs;
-            obs::TraceRecorder *tr = obs::tracer();
-            const uint64_t ev0 = tr ? tr->eventCount() : 0;
+            // Every reported fabric number, the critical path
+            // included, covers only the measured batch: not the
+            // warm-up and timing reps before it.
+            const core::StatsWindow window(eng);
+            const uint64_t trace0 = bench::traceMark();
 
             const auto t0 = Clock::now();
             eng.accumulateBatch(ops);
@@ -178,25 +123,19 @@ main(int argc, char **argv)
             const double speedup = rate / base_ops_per_s;
             if (!planner && shards == 4 && speedup > 2.0)
                 four_shard_ok = true;
-            const auto st = eng.stats();
-            const uint64_t hits =
-                st.programCacheHits - st0.programCacheHits;
+            const auto st = window.delta();
             const uint64_t lookups =
-                hits + st.programCacheMisses - st0.programCacheMisses;
+                st.programCacheHits + st.programCacheMisses;
             const double hit_frac =
-                lookups ? static_cast<double>(hits) /
+                lookups ? static_cast<double>(st.programCacheHits) /
                               static_cast<double>(lookups)
                         : 0.0;
             // Per-shard modeled fabric time locates the straggler and
-            // quantifies skew without needing a host trace; the ledger
-            // gate checks the cumulative attribution rows still sum
-            // bit-exactly to the merged fabric_ns total.
+            // quantifies skew without needing a host trace.
             double fab_max = 0.0, fab_sum = 0.0;
             unsigned crit_shard = 0;
             for (unsigned s = 0; s < shards; ++s) {
-                const double d =
-                    eng.shard(s).stats().fabric.fabricNs -
-                    shard_fab0[s];
+                const double d = window.shardDelta(s).fabric.fabricNs;
                 fab_sum += d;
                 if (d > fab_max) {
                     fab_max = d;
@@ -210,79 +149,57 @@ main(int argc, char **argv)
             const double eff = st.fabricCriticalNs > 0.0
                                    ? fab_mean / st.fabricCriticalNs
                                    : 0.0;
-            const auto ledger = obs::FabricLedger::fromStats(st);
-            Row row_v{planner, shards, dt, rate, speedup,
-                      st.increments - st0.increments,
-                      st.planPrograms - st0.planPrograms,
-                      st.planFallbackOps - st0.planFallbackOps,
-                      hit_frac,
-                      st.fabric.fabricNs - st0.fabric.fabricNs,
-                      st.fabric.fabricNj - st0.fabric.fabricNj,
-                      st.fabricCriticalNs,
-                      {},
-                      skew,
-                      crit_shard,
-                      eff,
-                      ledger.exact(),
-                      tr ? tr->eventCount() - ev0 : 0,
-                      obs::hostRssKb(), match};
-            for (unsigned c = 0; c < cim::kFabricCatCount; ++c)
-                row_v.attrNs[c] =
-                    st.fabric.attrNs[c] - st0.fabric.attrNs[c];
-            rows.push_back(row_v);
-            const auto &row = rows.back();
-            if (metrics_file) {
-                registry.histogram("row_time_us")
+            Row row{planner, shards, speedup,
+                    bench::FabricCell::of(st, trace0), {}};
+            row.json.flag("planner", planner)
+                .count("shards", shards)
+                .num("time_s", dt, "%.6f")
+                .num("ops_per_s", rate)
+                .num("speedup", speedup, "%.3f")
+                .count("fabric_programs", st.increments)
+                .count("plan_programs", st.planPrograms)
+                .count("plan_fallback_ops", st.planFallbackOps)
+                .num("program_cache_hit_rate", hit_frac, "%.4f")
+                .num("fabric_skew", skew, "%.4f")
+                .count("critical_shard", crit_shard)
+                .num("parallel_efficiency", eff, "%.4f")
+                .fabric(row.fabric);
+            if (h.streamingMetrics()) {
+                h.metrics()
+                    .histogram("row_time_us")
                     .record(static_cast<uint64_t>(dt * 1e6));
-                row_report = st.toCounters();
-                const std::string line = registry.renderJsonLine(
-                    registry.snapshot());
-                std::fwrite(line.data(), 1, line.size(),
-                            metrics_file);
+                row_report = eng.stats().toCounters();
+                h.snapshotMetrics();
             }
             t.addRow({planner ? "on" : "off", std::to_string(shards),
                       TextTable::fmt(dt, 3), TextTable::fmt(rate, 0),
                       TextTable::fmt(speedup, 2),
-                      std::to_string(row.increments),
-                      std::to_string(row.planPrograms),
+                      std::to_string(st.increments),
+                      std::to_string(st.planPrograms),
                       TextTable::fmt(100.0 * hit_frac, 1),
-                      TextTable::fmt(row.fabricNs / 1e3, 1),
-                      TextTable::fmt(row.fabricCriticalNs / 1e3, 1),
-                      TextTable::fmt(row.fabricSkew, 3),
-                      TextTable::fmt(row.parallelEff, 3)});
+                      TextTable::fmt(row.fabric.ns / 1e3, 1),
+                      TextTable::fmt(row.fabric.criticalNs / 1e3, 1),
+                      TextTable::fmt(skew, 3), TextTable::fmt(eff, 3)});
+            rows.push_back(std::move(row));
         }
     }
     std::printf("%s", t.render().c_str());
-    std::printf("4-shard speedup > 2x (planner off): %s\n",
-                four_shard_ok ? "yes" : "NO");
-    std::printf("all cells bit-identical to serial replay: %s\n",
-                all_match ? "yes" : "NO");
+    h.check(four_shard_ok, "4-shard speedup > 2x (planner off)");
+    h.check(all_match, "all cells bit-identical to serial replay");
+    h.checkFabric(rows);
 
-    bool all_fabric = true;
-    for (const auto &r : rows)
-        all_fabric = all_fabric && r.fabricNs > 0.0 &&
-                     r.fabricNj > 0.0 && r.fabricCriticalNs > 0.0;
-    std::printf("every row reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-
-    bool all_ledger = true;
-    for (const auto &r : rows)
-        all_ledger = all_ledger && r.ledgerExact;
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
-
-    // Tentpole gates: the hierarchical drain plans once per group
-    // and gang-issues the slices, so plan attribution must stop
-    // scaling with the shard count (it was exactly Nx under the old
-    // per-shard replication) and the planner must no longer invert
-    // the 8-shard scaling curve.
+    // The hierarchical drain plans once per group and gang-issues the
+    // slices, so plan attribution must stop scaling with the shard
+    // count (it was exactly Nx under the old per-shard replication)
+    // and the planner must no longer invert the 8-shard scaling
+    // curve.
     double plan_attr_1 = 0.0, plan_attr_8 = 0.0;
     double planner_speedup_8 = 0.0;
     for (const auto &r : rows) {
         if (!r.planner)
             continue;
         const double plan =
-            r.attrNs[static_cast<unsigned>(cim::FabricCat::Plan)];
+            r.fabric.attr[static_cast<unsigned>(cim::FabricCat::Plan)];
         if (r.shards == 1)
             plan_attr_1 = plan;
         if (r.shards == 8) {
@@ -292,15 +209,12 @@ main(int argc, char **argv)
     }
     const double plan_attr_ratio =
         plan_attr_1 > 0.0 ? plan_attr_8 / plan_attr_1 : 0.0;
-    const bool plan_sublinear =
-        plan_attr_ratio > 0.0 && plan_attr_ratio < 4.0;
-    const bool planner_scales = planner_speedup_8 >= 1.0;
-    std::printf("8-shard plan attribution vs 1 shard: %.2fx "
-                "(need < 4x): %s\n",
-                plan_attr_ratio, plan_sublinear ? "yes" : "NO");
-    std::printf("8-shard planner-on speedup vs 1 shard: %.2fx "
-                "(need >= 1x): %s\n",
-                planner_speedup_8, planner_scales ? "yes" : "NO");
+    h.check(plan_attr_ratio > 0.0 && plan_attr_ratio < 4.0,
+            "8-shard plan attribution vs 1 shard: %.2fx (need < 4x)",
+            plan_attr_ratio);
+    h.check(planner_speedup_8 >= 1.0,
+            "8-shard planner-on speedup vs 1 shard: %.2fx (need >= 1x)",
+            planner_speedup_8);
 
     // Analytical GPU baseline on the same cost axis (Fig. 14): a
     // bandwidth-bound scatter-add histogram of the same op stream.
@@ -312,97 +226,21 @@ main(int argc, char **argv)
 
     // Machine-readable trail for the perf trajectory (BENCH_sharded
     // .json next to the working directory the bench runs in).
-    if (std::FILE *f = std::fopen("BENCH_sharded.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"sharded_scaling\",\n"
-                     "  \"backend\": \"%s\",\n"
-                     "  \"num_ops\": %zu,\n"
-                     "  \"num_counters\": %zu,\n"
-                     "  \"all_match_serial_replay\": %s,\n"
-                     "  \"plan_attr_ratio_8v1\": %.3f,\n"
-                     "  \"planner_speedup_8\": %.3f,\n"
-                     "  \"gpu_model\": {\"name\": \"rtx3090ti\", "
-                     "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f},\n"
-                     "  \"results\": [\n",
-                     core::backendName(cfg.backend), num_ops,
-                     cfg.numCounters, all_match ? "true" : "false",
-                     plan_attr_ratio, planner_speedup_8,
-                     gpu.ns, gpu.nj);
-        for (size_t i = 0; i < rows.size(); ++i) {
-            std::fprintf(
-                f,
-                "    {\"planner\": %s, \"shards\": %u, "
-                "\"time_s\": %.6f, "
-                "\"ops_per_s\": %.1f, \"speedup\": %.3f, "
-                "\"fabric_programs\": %llu, "
-                "\"plan_programs\": %llu, "
-                "\"plan_fallback_ops\": %llu, "
-                "\"program_cache_hit_rate\": %.4f, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"fabric_critical_ns\": %.1f, "
-                "\"fabric_skew\": %.4f, \"critical_shard\": %u, "
-                "\"parallel_efficiency\": %.4f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {",
-                rows[i].planner ? "true" : "false", rows[i].shards,
-                rows[i].timeS, rows[i].opsPerS, rows[i].speedup,
-                static_cast<unsigned long long>(rows[i].increments),
-                static_cast<unsigned long long>(
-                    rows[i].planPrograms),
-                static_cast<unsigned long long>(
-                    rows[i].planFallbackOps),
-                rows[i].cacheHitFrac, rows[i].fabricNs,
-                rows[i].fabricNj, rows[i].fabricCriticalNs,
-                rows[i].fabricSkew, rows[i].criticalShard,
-                rows[i].parallelEff,
-                rows[i].ledgerExact ? "true" : "false");
-            for (unsigned c = 0; c < cim::kFabricCatCount; ++c)
-                std::fprintf(
-                    f, "\"%s\": %.1f%s",
-                    cim::fabricCatName(
-                        static_cast<cim::FabricCat>(c)),
-                    rows[i].attrNs[c],
-                    c + 1 < cim::kFabricCatCount ? ", " : "");
-            std::fprintf(
-                f,
-                "}, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu}%s\n",
-                static_cast<unsigned long long>(
-                    rows[i].traceEvents),
-                static_cast<unsigned long long>(rows[i].rssKb),
-                i + 1 < rows.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_sharded.json\n");
-    }
-
-    if (metrics_file) {
-        std::fclose(metrics_file);
-        std::printf("wrote %s (%llu snapshots)\n", metrics_path,
-                    static_cast<unsigned long long>(
-                        registry.snapshotCount()));
-    }
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-        // Critical-path report straight from the quiesced recorder —
-        // the same analysis tools/trace_analyze runs offline.
-        const auto prof = obs::profileFromRecorder(recorder);
-        std::printf("epoch critical-path profile:\n%s",
-                    obs::renderEpochProfiles(
-                        obs::buildEpochProfiles(prof))
-                        .c_str());
-    }
-    return (four_shard_ok && all_match && all_fabric && all_ledger &&
-            plan_sublinear && planner_scales)
-               ? 0
-               : 1;
+    bench::JsonObject top;
+    top.str("bench", "sharded_scaling")
+        .str("backend", core::backendName(cfg.backend))
+        .count("num_ops", num_ops)
+        .count("num_counters", cfg.numCounters)
+        .flag("all_match_serial_replay", all_match)
+        .num("plan_attr_ratio_8v1", plan_attr_ratio, "%.3f")
+        .num("planner_speedup_8", planner_speedup_8, "%.3f")
+        .obj("gpu_model", bench::JsonObject()
+                              .str("name", "rtx3090ti")
+                              .num("fabric_ns", gpu.ns)
+                              .num("fabric_nj", gpu.nj));
+    std::vector<bench::JsonObject> cells;
+    for (const auto &r : rows)
+        cells.push_back(r.json);
+    bench::writeBenchJson("BENCH_sharded.json", top, "results", cells);
+    return h.finish();
 }

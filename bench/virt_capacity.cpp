@@ -34,10 +34,8 @@
  * nonzero fabric ns/nj. A fifth 1e7-key cell runs behind --big.
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -46,37 +44,14 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "core/sharded.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace.hpp"
+#include "harness.hpp"
 #include "virt/virtspace.hpp"
 
 using namespace c2m;
-using Clock = std::chrono::steady_clock;
+using bench::Clock;
+using bench::secondsSince;
 
 namespace {
-
-double
-secondsSince(Clock::time_point t0)
-{
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/** Inner members of a "fabric_attr" JSON object for one cell. */
-std::string
-attrJson(const double (&attr)[cim::kFabricCatCount])
-{
-    std::string out;
-    char buf[64];
-    for (unsigned c = 0; c < cim::kFabricCatCount; ++c) {
-        std::snprintf(
-            buf, sizeof(buf), "\"%s\": %.1f%s",
-            cim::fabricCatName(static_cast<cim::FabricCat>(c)),
-            attr[c], c + 1 < cim::kFabricCatCount ? ", " : "");
-        out += buf;
-    }
-    return out;
-}
 
 uint64_t
 hashKey(uint64_t v)
@@ -106,30 +81,17 @@ struct CellSpec
 struct Cell
 {
     CellSpec spec;
-    double timeS = 0.0;
     double opsPerS = 0.0;
-    size_t numOps = 0;
     uint64_t keysExact = 0;
-    uint64_t residentGroups = 0;
-    uint64_t spilledGroups = 0;
-    uint64_t sketchKeys = 0;
     uint64_t promotions = 0;
     uint64_t spills = 0;
     uint64_t restores = 0;
-    uint64_t materializations = 0;
-    uint64_t sketchUpdates = 0;
     double maintNs = 0.0;
-    double fabricNs = 0.0;
-    double fabricNj = 0.0;
-    double attrNs[cim::kFabricCatCount] = {};
-    bool ledgerExact = false;
-    double errBound = 0.0;
-    size_t tailSampled = 0;
+    bench::FabricCell fabric{};
     double tailWithinFrac = 0.0;
-    uint64_t traceEvents = 0;
-    uint64_t rssKb = 0;
     bool shadowMatch = false;
     bool replayMatch = true; ///< only meaningful when checkReplay
+    bench::JsonObject json{};
 };
 
 /**
@@ -162,8 +124,7 @@ Cell
 runCell(const CellSpec &spec)
 {
     Cell cell{spec};
-    obs::TraceRecorder *tr = obs::tracer();
-    const uint64_t ev0 = tr ? tr->eventCount() : 0;
+    const uint64_t trace0 = bench::traceMark();
     core::EngineConfig cfg;
     cfg.numCounters = spec.physCounters;
     cfg.capacityBits = spec.capacityBits;
@@ -205,30 +166,19 @@ runCell(const CellSpec &spec)
             ++truth[id];
     }
     space.flush();
-    cell.timeS = secondsSince(t0);
-    cell.numOps = spec.distinctKeys + spec.zipfOps;
-    cell.opsPerS = static_cast<double>(cell.numOps) / cell.timeS;
+    const double time_s = secondsSince(t0);
+    const size_t num_ops = spec.distinctKeys + spec.zipfOps;
+    cell.opsPerS = static_cast<double>(num_ops) / time_s;
 
     const auto st = space.stats();
     cell.keysExact = st.keysExact;
-    cell.residentGroups = st.residentGroups;
-    cell.spilledGroups = st.spilledGroups;
-    cell.sketchKeys = st.sketchKeys;
     cell.promotions = st.promotions;
     cell.spills = st.spills;
     cell.restores = st.restores;
-    cell.materializations = st.materializations;
-    cell.sketchUpdates = st.sketchUpdates;
     cell.maintNs = st.maintenanceFabricNs;
-    cell.errBound = st.estErrorBound;
-    const auto est = engine.stats();
-    cell.fabricNs = est.fabric.fabricNs;
-    cell.fabricNj = est.fabric.fabricNj;
-    for (unsigned a = 0; a < cim::kFabricCatCount; ++a)
-        cell.attrNs[a] = est.fabric.attrNs[a];
-    cell.ledgerExact = obs::FabricLedger::fromStats(est).exact();
-    cell.traceEvents = tr ? tr->eventCount() - ev0 : 0;
-    cell.rssKb = obs::hostRssKb();
+    // The engine lives for this cell only: its lifetime stats are
+    // exactly the cell's work.
+    cell.fabric = bench::FabricCell::of(engine.stats(), trace0);
 
     // Exactness: every promoted key bit-identical to the serial
     // replay of its deltas.
@@ -254,7 +204,6 @@ runCell(const CellSpec &spec)
         if (err <= space.errorBound(key))
             ++within;
     }
-    cell.tailSampled = sampled;
     cell.tailWithinFrac =
         sampled ? double(within) / double(sampled) : 1.0;
 
@@ -267,6 +216,31 @@ runCell(const CellSpec &spec)
         cell.replayMatch = st.spills == 0 &&
                            engine.readAllCounters(0) == replayed;
     }
+
+    cell.json.str("cell", spec.name)
+        .count("distinct_keys", spec.distinctKeys)
+        .count("num_ops", num_ops)
+        .count("phys_counters", spec.physCounters)
+        .count("shards", spec.shards)
+        .flag("morris", spec.morrisCells)
+        .num("time_s", time_s, "%.6f")
+        .num("ops_per_s", cell.opsPerS)
+        .count("keys_exact", st.keysExact)
+        .count("resident_groups", st.residentGroups)
+        .count("spilled_groups", st.spilledGroups)
+        .count("sketch_keys", st.sketchKeys)
+        .count("promotions", st.promotions)
+        .count("spills", st.spills)
+        .count("restores", st.restores)
+        .count("materializations", st.materializations)
+        .count("sketch_updates", st.sketchUpdates)
+        .num("maintenance_fabric_ns", st.maintenanceFabricNs)
+        .fabric(cell.fabric, false)
+        .num("est_error_bound", st.estErrorBound, "%.3f")
+        .count("tail_sampled", sampled)
+        .num("tail_within_bound_frac", cell.tailWithinFrac, "%.4f")
+        .flag("shadow_match", cell.shadowMatch)
+        .flag("replay_match", cell.replayMatch);
     return cell;
 }
 
@@ -275,22 +249,9 @@ runCell(const CellSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bool big = false;
-    const char *trace_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--big"))
-            big = true;
-        else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc)
-            trace_path = argv[++i];
-        else {
-            std::printf("usage: %s [--big] [--trace FILE]\n",
-                        argv[0]);
-            return 2;
-        }
-    }
-    obs::TraceRecorder recorder;
-    if (trace_path)
-        recorder.install();
+    bench::Harness h(argc, argv, bench::kBigFlag);
+    if (!h.ok())
+        return 2;
 
     std::printf("virtualized counter capacity: Zipf(1.1) key spaces "
                 "over a 4-shard fleet\n");
@@ -308,7 +269,7 @@ main(int argc, char **argv)
         {"zipf1.1-1e5-morris", 100000, 100000, 1024, 4, 16, 1 << 14,
          32, true, false},
     };
-    if (big)
+    if (h.big())
         specs.push_back({"zipf1.1-1e7", 10000000, 2000000, 16384, 4,
                          20, 1 << 20, 64, false, false});
 
@@ -331,124 +292,43 @@ main(int argc, char **argv)
                   std::to_string(c.spills),
                   std::to_string(c.restores),
                   TextTable::fmt(100.0 * c.tailWithinFrac, 1),
-                  TextTable::fmt((c.fabricNs + c.maintNs) / 1e3, 1),
+                  TextTable::fmt((c.fabric.ns + c.maintNs) / 1e3, 1),
                   c.shadowMatch ? "yes" : "NO"});
     std::printf("%s", t.render().c_str());
 
-    bool all_shadow = true, all_fabric = true, all_tail = true;
-    bool replay_ok = true;
+    bool all_shadow = true, all_tail = true, replay_ok = true;
     for (const auto &c : cells) {
         all_shadow = all_shadow && c.shadowMatch;
-        all_fabric =
-            all_fabric && c.fabricNs > 0.0 && c.fabricNj > 0.0;
         all_tail = all_tail && c.tailWithinFrac >= 0.99;
         replay_ok = replay_ok && c.replayMatch;
     }
-    bool all_ledger = true;
-    for (const auto &c : cells)
-        all_ledger = all_ledger && c.ledgerExact;
     const Cell &headline = cells[1];
     const bool pressure = headline.spills > 0 &&
                           headline.restores > 0 &&
                           headline.promotions > 1000 &&
                           headline.maintNs > 0.0;
 
-    std::printf("all cells shadow-exact for promoted keys: %s\n",
-                all_shadow ? "yes" : "NO");
-    std::printf("no-spill cell bit-identical to physical replay: "
-                "%s\n",
-                replay_ok ? "yes" : "NO");
-    std::printf("1e6-key cell spills/restores/promotes under frame "
-                "pressure: %s (%llu/%llu/%llu)\n",
-                pressure ? "yes" : "NO",
-                static_cast<unsigned long long>(headline.spills),
-                static_cast<unsigned long long>(headline.restores),
-                static_cast<unsigned long long>(
-                    headline.promotions));
-    std::printf(">= 99%% of sampled tail keys within the count-min "
-                "bound: %s\n",
-                all_tail ? "yes" : "NO");
-    std::printf("every cell reports nonzero fabric ns/nj: %s\n",
-                all_fabric ? "yes" : "NO");
-    std::printf("fabric ledger bit-exact in every cell: %s\n",
-                all_ledger ? "yes" : "NO");
+    h.check(all_shadow, "all cells shadow-exact for promoted keys");
+    h.check(replay_ok, "no-spill cell bit-identical to physical replay");
+    h.check(pressure,
+            "1e6-key cell spills/restores/promotes under frame "
+            "pressure (%llu/%llu/%llu)",
+            static_cast<unsigned long long>(headline.spills),
+            static_cast<unsigned long long>(headline.restores),
+            static_cast<unsigned long long>(headline.promotions));
+    h.check(all_tail,
+            ">= 99%% of sampled tail keys within the count-min bound");
+    h.checkFabric(cells);
 
-    if (std::FILE *f = std::fopen("BENCH_virt.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"virt_capacity\",\n"
-                     "  \"all_shadow_exact\": %s,\n"
-                     "  \"replay_match\": %s,\n"
-                     "  \"headline_pressure\": %s,\n"
-                     "  \"all_tail_within_bound\": %s,\n"
-                     "  \"cells\": [\n",
-                     all_shadow ? "true" : "false",
-                     replay_ok ? "true" : "false",
-                     pressure ? "true" : "false",
-                     all_tail ? "true" : "false");
-        for (size_t i = 0; i < cells.size(); ++i) {
-            const auto &c = cells[i];
-            std::fprintf(
-                f,
-                "    {\"cell\": \"%s\", \"distinct_keys\": %zu, "
-                "\"num_ops\": %zu, \"phys_counters\": %zu, "
-                "\"shards\": %u, \"morris\": %s, "
-                "\"time_s\": %.6f, \"ops_per_s\": %.1f, "
-                "\"keys_exact\": %llu, \"resident_groups\": %llu, "
-                "\"spilled_groups\": %llu, \"sketch_keys\": %llu, "
-                "\"promotions\": %llu, \"spills\": %llu, "
-                "\"restores\": %llu, \"materializations\": %llu, "
-                "\"sketch_updates\": %llu, "
-                "\"maintenance_fabric_ns\": %.1f, "
-                "\"fabric_ns\": %.1f, \"fabric_nj\": %.1f, "
-                "\"ledger_exact\": %s, \"fabric_attr\": {%s}, "
-                "\"est_error_bound\": %.3f, "
-                "\"tail_sampled\": %zu, "
-                "\"tail_within_bound_frac\": %.4f, "
-                "\"trace_events\": %llu, \"rss_kb\": %llu, "
-                "\"shadow_match\": %s, \"replay_match\": %s}%s\n",
-                c.spec.name, c.spec.distinctKeys, c.numOps,
-                c.spec.physCounters, c.spec.shards,
-                c.spec.morrisCells ? "true" : "false", c.timeS,
-                c.opsPerS,
-                static_cast<unsigned long long>(c.keysExact),
-                static_cast<unsigned long long>(c.residentGroups),
-                static_cast<unsigned long long>(c.spilledGroups),
-                static_cast<unsigned long long>(c.sketchKeys),
-                static_cast<unsigned long long>(c.promotions),
-                static_cast<unsigned long long>(c.spills),
-                static_cast<unsigned long long>(c.restores),
-                static_cast<unsigned long long>(
-                    c.materializations),
-                static_cast<unsigned long long>(c.sketchUpdates),
-                c.maintNs, c.fabricNs, c.fabricNj,
-                c.ledgerExact ? "true" : "false",
-                attrJson(c.attrNs).c_str(), c.errBound,
-                c.tailSampled, c.tailWithinFrac,
-                static_cast<unsigned long long>(c.traceEvents),
-                static_cast<unsigned long long>(c.rssKb),
-                c.shadowMatch ? "true" : "false",
-                c.replayMatch ? "true" : "false",
-                i + 1 < cells.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote BENCH_virt.json\n");
-    }
-
-    if (trace_path) {
-        recorder.uninstall();
-        if (obs::writeChromeTrace(recorder, trace_path))
-            std::printf(
-                "wrote %s (%llu events, %llu dropped)\n", trace_path,
-                static_cast<unsigned long long>(
-                    recorder.eventCount()),
-                static_cast<unsigned long long>(
-                    recorder.droppedEvents()));
-        else
-            std::printf("FAILED to write %s\n", trace_path);
-    }
-    return (all_shadow && replay_ok && pressure && all_tail &&
-            all_fabric && all_ledger)
-               ? 0
-               : 1;
+    bench::JsonObject top;
+    top.str("bench", "virt_capacity")
+        .flag("all_shadow_exact", all_shadow)
+        .flag("replay_match", replay_ok)
+        .flag("headline_pressure", pressure)
+        .flag("all_tail_within_bound", all_tail);
+    std::vector<bench::JsonObject> rows;
+    for (const auto &c : cells)
+        rows.push_back(c.json);
+    bench::writeBenchJson("BENCH_virt.json", top, "cells", rows);
+    return h.finish();
 }

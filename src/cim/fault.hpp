@@ -14,6 +14,9 @@
  */
 
 #include <cstdint>
+#include <string>
+
+#include "common/statfields.hpp"
 
 namespace c2m {
 namespace cim {
@@ -74,6 +77,26 @@ fabricCatName(FabricCat c)
 }
 
 /**
+ * OpStats command and fault tallies, one row each
+ * (common/statfields.hpp). gangedCommands are AAP/AP commands executed
+ * as lockstep followers of a merged drain plan (FabricCat::PlanFanout):
+ * the leader shard issues the plane program once and follower banks
+ * execute the same command stream in its issue slots, so these
+ * commands do not consume rank-window (tRRD/tFAW) issue bandwidth of
+ * their own. Always <= commands(); ShardedEngine subtracts them from
+ * the rank-floor term of the critical path.
+ */
+#define C2M_OP_STATS_COUNTS(X)                                        \
+    X(uint64_t, aap, "aap", Sum)          /* AAP commands */          \
+    X(uint64_t, ap, "ap", Sum)            /* AP commands */           \
+    X(uint64_t, tra, "tra", Sum)          /* triple activations */    \
+    /* bits flipped by the fault model; host-level row accesses */    \
+    X(uint64_t, faultsInjected, "faults_injected", Sum)               \
+    X(uint64_t, rowReads, "row_reads", Sum)                           \
+    X(uint64_t, rowWrites, "row_writes", Sum)                         \
+    X(uint64_t, gangedCommands, "ganged", Sum)
+
+/**
  * Running tally of executed operations and injected faults, plus the
  * modeled fabric cost charged at each command issue point. fabricNs
  * is single-device serial time (the bank executing every command
@@ -84,30 +107,15 @@ fabricCatName(FabricCat c)
  *
  * Ledger invariant: fabricNs is never accumulated directly; charge()
  * adds to the active attrNs row and recomputes fabricNs as the fixed
- * left-to-right sum of all rows (as does operator+= after an
- * element-wise row merge). Because every path to fabricNs goes
+ * left-to-right sum of all rows (as do operator+= and operator- after
+ * an element-wise row merge). Because every path to fabricNs goes
  * through that one summation order, sum(attrNs) == fabricNs holds
  * bit-exactly — not merely within floating-point tolerance — at any
- * aggregation depth.
+ * aggregation depth, deltas included.
  */
 struct OpStats
 {
-    uint64_t aap = 0;            ///< AAP commands executed
-    uint64_t ap = 0;             ///< AP commands executed
-    uint64_t tra = 0;            ///< triple activations (MAJ3)
-    uint64_t faultsInjected = 0; ///< total bits flipped by the model
-    uint64_t rowReads = 0;       ///< host-level row reads
-    uint64_t rowWrites = 0;      ///< host-level row writes
-    /**
-     * AAP/AP commands executed as lockstep followers of a merged
-     * drain plan (FabricCat::PlanFanout): the leader shard issues
-     * the plane program once and follower banks execute the same
-     * command stream in its issue slots, so these commands do not
-     * consume rank-window (tRRD/tFAW) issue bandwidth of their own.
-     * Always <= commands(); ShardedEngine subtracts them from the
-     * rank-floor term of the critical path.
-     */
-    uint64_t gangedCommands = 0;
+    C2M_STATS_FIELDS(C2M_OP_STATS_COUNTS)
     double fabricNs = 0.0;       ///< modeled serial fabric time
     double fabricNj = 0.0;       ///< modeled fabric energy
 
@@ -155,18 +163,48 @@ struct OpStats
     OpStats &
     operator+=(const OpStats &o)
     {
-        aap += o.aap;
-        ap += o.ap;
-        tra += o.tra;
-        faultsInjected += o.faultsInjected;
-        rowReads += o.rowReads;
-        rowWrites += o.rowWrites;
-        gangedCommands += o.gangedCommands;
+        C2M_OP_STATS_COUNTS(C2M_STATS_MERGE_)
         fabricNj += o.fabricNj;
         for (unsigned i = 0; i < kFabricCatCount; ++i)
             attrNs[i] += o.attrNs[i];
         syncFabricTotal();
         return *this;
+    }
+
+    /** Work done between snapshot @p o and this later one. */
+    OpStats
+    operator-(const OpStats &o) const
+    {
+        OpStats d;
+        C2M_OP_STATS_COUNTS(C2M_STATS_DELTA_)
+        d.fabricNj = fabricNj - o.fabricNj;
+        for (unsigned i = 0; i < kFabricCatCount; ++i)
+            d.attrNs[i] = attrNs[i] - o.attrNs[i];
+        d.syncFabricTotal();
+        return d;
+    }
+
+    /** "<prefix>.aap", ..., "<prefix>.ns/.nj", "<prefix>.attr.<cat>". */
+    void
+    appendCounters(CounterMap &out, const std::string &prefix) const
+    {
+        const auto key = [&](const char *name) {
+            std::string k = prefix;
+            k += '.';
+            k += name;
+            return k;
+        };
+#define C2M_OP_STATS_COUNTER_(type, member, name, rule)               \
+    stats::addCounter(out, key(name), member);
+        C2M_OP_STATS_COUNTS(C2M_OP_STATS_COUNTER_)
+#undef C2M_OP_STATS_COUNTER_
+        stats::addCounter(out, key("ns"), fabricNs);
+        stats::addCounter(out, key("nj"), fabricNj);
+        for (unsigned c = 0; c < kFabricCatCount; ++c) {
+            std::string k = key("attr.");
+            k += fabricCatName(static_cast<FabricCat>(c));
+            stats::addCounter(out, k, attrNs[c]);
+        }
     }
 };
 

@@ -18,7 +18,7 @@
 
 #include "cim/cost.hpp"
 #include "cim/fault.hpp"
-#include "common/stats.hpp"
+#include "common/statfields.hpp"
 #include "dram/energy.hpp"
 #include "dram/timing.hpp"
 
@@ -100,87 +100,52 @@ struct EngineConfig
     cim::NvmCostParams nvmCost = cim::NvmCostParams{};
 };
 
+/**
+ * EngineStats fields, one row each (common/statfields.hpp):
+ *  - planLeadPrograms: plane increments this engine issued as a gang
+ *    leader (or stand-alone). planPrograms - planLeadPrograms is the
+ *    follower count: planes executed in lockstep under another shard's
+ *    issue slot in a merged cross-shard plan.
+ *  - fabric: fabric-level command and fault tallies (AAP/AP commands,
+ *    triple activations, injected fault bits, host row accesses) and
+ *    the fabric-time ledger, copied from the backend's simulator by
+ *    C2MEngine::stats() so merged service reports expose fault
+ *    activity next to the engine-level protection counters.
+ *  - fabricCriticalNs: bank-parallel critical-path fabric time, the
+ *    modeled ns until the last shard finishes when shards execute as
+ *    banks of one rank (bounded below by the tFAW/tRRD rank window,
+ *    DramTimings::issueIntervalNs). For a single engine this equals
+ *    fabric.fabricNs; ShardedEngine::statsSince() computes the real
+ *    bound. Merged by max, not sum — parallel contributors overlap.
+ */
+#define C2M_ENGINE_STATS_FIELDS(X)                                    \
+    X(uint64_t, inputsAccumulated, "engine.inputs_accumulated", Sum)  \
+    X(uint64_t, increments, "engine.increments", Sum)                 \
+    X(uint64_t, ripples, "engine.ripples", Sum)                       \
+    X(uint64_t, checksRun, "engine.checks_run", Sum)                  \
+    X(uint64_t, faultsDetected, "engine.faults_detected", Sum)        \
+    X(uint64_t, retries, "engine.retries", Sum)                       \
+    X(uint64_t, uncorrectedBlocks, "engine.uncorrected_blocks", Sum)  \
+    /* unreadable JC patterns at readout */                           \
+    X(uint64_t, invalidStates, "engine.invalid_states", Sum)          \
+    X(uint64_t, voteOps, "engine.vote_ops", Sum)                      \
+    /* programs replayed from cache / generated fresh */              \
+    X(uint64_t, programCacheHits, "engine.program_cache_hits", Sum)   \
+    X(uint64_t, programCacheMisses, "engine.program_cache_misses", Sum) \
+    /* column-parallel plans applied / masked plane increments */     \
+    X(uint64_t, plansExecuted, "engine.plans_executed", Sum)          \
+    X(uint64_t, planPrograms, "engine.plan_programs", Sum)            \
+    X(uint64_t, planLeadPrograms, "engine.plan_lead_programs", Sum)   \
+    /* point updates folded into plans / taking the per-op path */    \
+    X(uint64_t, plannedOps, "engine.planned_ops", Sum)                \
+    X(uint64_t, planFallbackOps, "engine.plan_fallback_ops", Sum)     \
+    X(cim::OpStats, fabric, "engine.fabric", Sum)                     \
+    X(double, fabricCriticalNs, "engine.fabric.critical_ns", Max)
+
 struct EngineStats
 {
-    uint64_t inputsAccumulated = 0;
-    uint64_t increments = 0;
-    uint64_t ripples = 0;
-    uint64_t checksRun = 0;
-    uint64_t faultsDetected = 0;
-    uint64_t retries = 0;
-    uint64_t uncorrectedBlocks = 0;
-    uint64_t invalidStates = 0; ///< unreadable JC patterns at readout
-    uint64_t voteOps = 0;
-    uint64_t programCacheHits = 0;   ///< programs replayed from cache
-    uint64_t programCacheMisses = 0; ///< programs generated fresh
-    uint64_t plansExecuted = 0;   ///< column-parallel plans applied
-    uint64_t planPrograms = 0;    ///< masked plane increments issued
-    /**
-     * Plane increments this engine issued as a gang leader (or
-     * stand-alone). planPrograms - planLeadPrograms is the follower
-     * count: planes executed in lockstep under another shard's issue
-     * slot in a merged cross-shard plan.
-     */
-    uint64_t planLeadPrograms = 0;
-    uint64_t plannedOps = 0;      ///< point updates folded into plans
-    uint64_t planFallbackOps = 0; ///< ops that took the per-op path
-
-    /**
-     * Fabric-level command and fault tallies (AAP/AP commands, triple
-     * activations, injected fault bits, host row accesses), copied
-     * from the backend's simulator by C2MEngine::stats() so merged
-     * service reports expose fault activity next to the engine-level
-     * protection counters.
-     */
-    cim::OpStats fabric;
-
-    /**
-     * Bank-parallel critical-path fabric time: the modeled ns until
-     * the last shard finishes when shards execute as banks of one
-     * rank (bounded below by the tFAW/tRRD rank window,
-     * DramTimings::issueIntervalNs). For a single engine this equals
-     * fabric.fabricNs; ShardedEngine::stats() computes the real
-     * bound. Merged by max, not sum — parallel contributors overlap.
-     */
-    double fabricCriticalNs = 0.0;
-
-    /**
-     * Field-wise sum, used to merge per-shard stats into one view.
-     * When adding a field above, extend this too — the
-     * EngineStatsMerge test pins sizeof(EngineStats) so a new field
-     * cannot be silently dropped from the merge.
-     */
-    EngineStats &operator+=(const EngineStats &o)
-    {
-        inputsAccumulated += o.inputsAccumulated;
-        increments += o.increments;
-        ripples += o.ripples;
-        checksRun += o.checksRun;
-        faultsDetected += o.faultsDetected;
-        retries += o.retries;
-        uncorrectedBlocks += o.uncorrectedBlocks;
-        invalidStates += o.invalidStates;
-        voteOps += o.voteOps;
-        programCacheHits += o.programCacheHits;
-        programCacheMisses += o.programCacheMisses;
-        plansExecuted += o.plansExecuted;
-        planPrograms += o.planPrograms;
-        planLeadPrograms += o.planLeadPrograms;
-        plannedOps += o.plannedOps;
-        planFallbackOps += o.planFallbackOps;
-        fabric += o.fabric;
-        if (o.fabricCriticalNs > fabricCriticalNs)
-            fabricCriticalNs = o.fabricCriticalNs;
-        return *this;
-    }
-
-    /**
-     * Named "engine.*" counters, for merging with other subsystems'
-     * statistics (mergeCounters / renderCounters). One entry per
-     * field; the ToCountersCoversEveryField test pins the entry count
-     * against sizeof(EngineStats).
-     */
-    CounterMap toCounters() const;
+    C2M_STATS_FIELDS(C2M_ENGINE_STATS_FIELDS)
+    C2M_STATS_OPS(EngineStats, C2M_ENGINE_STATS_FIELDS)
 };
 
 } // namespace core

@@ -737,20 +737,35 @@ ShardedEngine::clear()
 EngineStats
 ShardedEngine::stats() const
 {
+    return statsSince({});
+}
+
+EngineStats
+ShardedEngine::statsSince(std::span<const EngineStats> begin) const
+{
+    C2M_ASSERT(begin.empty() || begin.size() == numShards(),
+               "stats snapshot has ", begin.size(), " shards, engine ",
+               numShards());
     EngineStats merged;
-    for (const auto &s : shards_)
-        merged += s->stats();
-    // fabric.fabricNs summed across shards is total fabric work;
-    // the critical path is when the last shard finishes. operator+=
-    // max-merged the per-shard serial times; DRAM shards additionally
-    // share one rank, where tRRD/tFAW bound the aggregate command
-    // issue rate no matter how many banks run (Sec. 7.2.1) — take
-    // the tighter of the two bounds. NVM crossbars are independent
-    // arrays with no rank window, so the per-shard max stands.
-    // Ganged follower commands execute inside their leader's issue
-    // slots (one ACTIVATE broadcast drives every participating
-    // bank), so they do not occupy rank-window slots of their own
-    // and leave the floor.
+    for (unsigned s = 0; s < numShards(); ++s) {
+        EngineStats d = shards_[s]->stats();
+        if (!begin.empty())
+            d = d - begin[s];
+        // One shard is one bank: its critical path is its serial
+        // fabric time, which operator+= max-merges across shards.
+        d.fabricCriticalNs = d.fabric.fabricNs;
+        merged += d;
+    }
+    // fabric.fabricNs summed across shards is total fabric work; the
+    // critical path is when the last shard finishes. DRAM shards
+    // additionally share one rank, where tRRD/tFAW bound the
+    // aggregate command issue rate no matter how many banks run
+    // (Sec. 7.2.1) — take the tighter of the two bounds. NVM
+    // crossbars are independent arrays with no rank window, so the
+    // per-shard max stands. Ganged follower commands execute inside
+    // their leader's issue slots (one ACTIVATE broadcast drives every
+    // participating bank), so they do not occupy rank-window slots of
+    // their own and leave the floor.
     if (cfg_.backend == BackendKind::Ambit ||
         cfg_.backend == BackendKind::Rca) {
         const double rank_floor =
@@ -761,6 +776,27 @@ ShardedEngine::stats() const
             merged.fabricCriticalNs = rank_floor;
     }
     return merged;
+}
+
+StatsWindow::StatsWindow(const ShardedEngine &engine)
+    : engine_(engine), begin_(engine.numShards())
+{
+    reopen();
+}
+
+StatsWindow
+StatsWindow::lifetime(const ShardedEngine &engine)
+{
+    StatsWindow w(engine);
+    std::fill(w.begin_.begin(), w.begin_.end(), EngineStats{});
+    return w;
+}
+
+void
+StatsWindow::reopen()
+{
+    for (unsigned s = 0; s < engine_.numShards(); ++s)
+        begin_[s] = engine_.shard(s).stats();
 }
 
 Histogram

@@ -122,6 +122,7 @@ class ShardedEngine
     size_t numCounters() const { return cfg_.numCounters; }
 
     C2MEngine &shard(unsigned s) { return *shards_[s]; }
+    const C2MEngine &shard(unsigned s) const { return *shards_[s]; }
     /** Shard owning logical counter @p counter. */
     unsigned shardOf(uint64_t counter) const;
     /** First logical counter of shard @p s. */
@@ -216,8 +217,20 @@ class ShardedEngine
     void drain(unsigned group);
     void clear();
 
-    /** Per-shard stats merged with EngineStats::operator+=. */
+    /** Lifetime stats: statsSince() a window that starts at zero. */
     EngineStats stats() const;
+
+    /**
+     * Merged stats of the work done since @p begin, a snapshot of
+     * every shard's stats (empty: since construction). Per-shard
+     * deltas are summed with EngineStats::operator+=; the critical
+     * path is recomputed from them as the slowest shard's serial
+     * fabric time (one shard is one bank), floored on the DRAM
+     * backends by the rank window over the deltas' non-ganged
+     * commands. Subtracting two merged critical paths would not give
+     * the window's critical path. Call while quiescent.
+     */
+    EngineStats statsSince(std::span<const EngineStats> begin) const;
 
   private:
     /** Internal mask handle reserved per shard for point updates. */
@@ -351,6 +364,46 @@ class ShardedEngine
      */
     std::vector<double> planIncNs_;
     ThreadPool pool_;
+};
+
+/**
+ * A measurement window over a ShardedEngine: snapshots every shard's
+ * stats when opened and reports the work done since as merged deltas,
+ * with the critical path recomputed from the per-shard deltas
+ * (ShardedEngine::statsSince). Every "this batch only" number — bench
+ * cells, per-epoch service sampling — comes from a window, so no
+ * reader subtracts merged stats field by field. Open and read only
+ * while the engine is quiescent; reopen() reuses the snapshot storage,
+ * so a long-lived window samples without allocating.
+ */
+class StatsWindow
+{
+  public:
+    /** Opens the window at @p engine's current stats. */
+    explicit StatsWindow(const ShardedEngine &engine);
+
+    /**
+     * A window that starts at zero: the engine's whole life, the
+     * fabric work of its construction included. Its delta() equals
+     * ShardedEngine::stats().
+     */
+    static StatsWindow lifetime(const ShardedEngine &engine);
+
+    /** Move the window's start to now. */
+    void reopen();
+
+    /** Merged work since the window opened. */
+    EngineStats delta() const { return engine_.statsSince(begin_); }
+
+    /** Work shard @p s did since the window opened. */
+    EngineStats shardDelta(unsigned s) const
+    {
+        return engine_.shard(s).stats() - begin_[s];
+    }
+
+  private:
+    const ShardedEngine &engine_;
+    std::vector<EngineStats> begin_; ///< one snapshot per shard
 };
 
 /**

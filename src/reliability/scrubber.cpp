@@ -1,7 +1,6 @@
 #include "reliability/scrubber.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -21,26 +20,6 @@ journalKey(uint32_t group, uint64_t local_col)
 constexpr uint64_t kColMask = (uint64_t{1} << 40) - 1;
 
 } // namespace
-
-CounterMap
-ScrubStats::toCounters() const
-{
-    return {
-        {"reliability.boundaries", boundaries},
-        {"reliability.sweeps", sweeps},
-        {"reliability.rows_scrubbed", rowsScrubbed},
-        {"reliability.rows_repaired", rowsRepaired},
-        {"reliability.faulty_bits", faultyBits},
-        {"reliability.bits_corrected", bitsCorrected},
-        {"reliability.words_recovered", wordsRecovered},
-        {"reliability.mirror_bits_corrected", mirrorBitsCorrected},
-        {"reliability.mirror_words_lost", mirrorWordsLost},
-        {"reliability.ops_journaled", opsJournaled},
-        {"reliability.fr_retunes", frRetunes},
-        {"reliability.sweep_fabric_ns",
-         static_cast<uint64_t>(std::llround(sweepFabricNs))},
-    };
-}
 
 bool
 Scrubber::supports(core::ShardedEngine &engine)

@@ -58,7 +58,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
+#include "common/statfields.hpp"
 #include "core/sharded.hpp"
 #include "reliability/health.hpp"
 #include "reliability/mirror.hpp"
@@ -92,41 +92,33 @@ struct ScrubConfig
     HealthConfig health;
 };
 
+/** ScrubStats fields, one row each (common/statfields.hpp). */
+#define C2M_SCRUB_STATS_FIELDS(X)                                     \
+    /* epoch boundaries observed / shard sweeps executed */           \
+    X(uint64_t, boundaries, "reliability.boundaries", Sum)            \
+    X(uint64_t, sweeps, "reliability.sweeps", Sum)                    \
+    /* fabric rows read and checked / rows with any deviation */      \
+    X(uint64_t, rowsScrubbed, "reliability.rows_scrubbed", Sum)       \
+    X(uint64_t, rowsRepaired, "reliability.rows_repaired", Sum)       \
+    /* deviating bits found / flips fixed by SEC-DED alone */         \
+    X(uint64_t, faultyBits, "reliability.faulty_bits", Sum)           \
+    X(uint64_t, bitsCorrected, "reliability.bits_corrected", Sum)     \
+    /* words recovered from the mirror */                             \
+    X(uint64_t, wordsRecovered, "reliability.words_recovered", Sum)   \
+    /* side-store flips corrected / side-store words past SEC-DED */  \
+    X(uint64_t, mirrorBitsCorrected,                                  \
+      "reliability.mirror_bits_corrected", Sum)                       \
+    X(uint64_t, mirrorWordsLost, "reliability.mirror_words_lost", Sum) \
+    /* deltas recorded since attach / live FR-check changes applied */ \
+    X(uint64_t, opsJournaled, "reliability.ops_journaled", Sum)       \
+    X(uint64_t, frRetunes, "reliability.fr_retunes", Sum)             \
+    /* modeled fabric ns spent inside sweeps (drain + row scrub) */   \
+    X(double, sweepFabricNs, "reliability.sweep_fabric_ns", Sum)
+
 struct ScrubStats
 {
-    uint64_t boundaries = 0;      ///< epoch boundaries observed
-    uint64_t sweeps = 0;          ///< shard sweeps executed
-    uint64_t rowsScrubbed = 0;    ///< fabric rows read and checked
-    uint64_t rowsRepaired = 0;    ///< rows with any deviation
-    uint64_t faultyBits = 0;      ///< deviating bits found (detected)
-    uint64_t bitsCorrected = 0;   ///< flips fixed by SEC-DED alone
-    uint64_t wordsRecovered = 0;  ///< words recovered from the mirror
-    uint64_t mirrorBitsCorrected = 0; ///< side-store flips corrected
-    uint64_t mirrorWordsLost = 0; ///< side-store words past SEC-DED
-    uint64_t opsJournaled = 0;    ///< deltas recorded since attach
-    uint64_t frRetunes = 0;       ///< live FR-check changes applied
-    /** Modeled fabric ns spent inside sweeps (drain + row scrub). */
-    double sweepFabricNs = 0.0;
-
-    ScrubStats &operator+=(const ScrubStats &o)
-    {
-        boundaries += o.boundaries;
-        sweeps += o.sweeps;
-        rowsScrubbed += o.rowsScrubbed;
-        rowsRepaired += o.rowsRepaired;
-        faultyBits += o.faultyBits;
-        bitsCorrected += o.bitsCorrected;
-        wordsRecovered += o.wordsRecovered;
-        mirrorBitsCorrected += o.mirrorBitsCorrected;
-        mirrorWordsLost += o.mirrorWordsLost;
-        opsJournaled += o.opsJournaled;
-        frRetunes += o.frRetunes;
-        sweepFabricNs += o.sweepFabricNs;
-        return *this;
-    }
-
-    /** Named "reliability.*" counters for merged reports. */
-    CounterMap toCounters() const;
+    C2M_STATS_FIELDS(C2M_SCRUB_STATS_FIELDS)
+    C2M_STATS_OPS(ScrubStats, C2M_SCRUB_STATS_FIELDS)
 };
 
 class Scrubber final : public service::EpochObserver

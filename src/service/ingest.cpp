@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
@@ -11,50 +10,25 @@
 namespace c2m {
 namespace service {
 
-CounterMap
-ServiceStats::toCounters() const
-{
-    return {
-        {"service.submitted", submitted},
-        {"service.queued", queued},
-        {"service.dropped", dropped},
-        {"service.stalls", stalls},
-        {"service.coalesced", coalesced},
-        {"service.flushed_ops", flushedOps},
-        {"service.epochs", epochs},
-        {"service.steals", steals},
-        {"service.plans", plans},
-        {"service.plan_programs", planPrograms},
-        {"service.planned_ops", plannedOps},
-        {"service.plan_fallback_ops", planFallbackOps},
-        {"service.fabric_ns",
-         static_cast<uint64_t>(std::llround(fabricNs))},
-        {"service.fabric_nj",
-         static_cast<uint64_t>(std::llround(fabricNj))},
-    };
-}
-
 namespace {
 
 /** Attribute a drain's planner and fabric activity to this epoch. */
 void
-addPlanDelta(ServiceStats &es, const core::EngineStats &before,
-             const core::EngineStats &after)
+addPlanDelta(ServiceStats &es, const core::EngineStats &d)
 {
-    es.plans += after.plansExecuted - before.plansExecuted;
-    es.planPrograms += after.planPrograms - before.planPrograms;
-    es.plannedOps += after.plannedOps - before.plannedOps;
-    es.planFallbackOps +=
-        after.planFallbackOps - before.planFallbackOps;
-    es.fabricNs += after.fabric.fabricNs - before.fabric.fabricNs;
-    es.fabricNj += after.fabric.fabricNj - before.fabric.fabricNj;
+    es.plans += d.plansExecuted;
+    es.planPrograms += d.planPrograms;
+    es.plannedOps += d.plannedOps;
+    es.planFallbackOps += d.planFallbackOps;
+    es.fabricNs += d.fabric.fabricNs;
+    es.fabricNj += d.fabric.fabricNj;
 }
 
 } // namespace
 
 IngestService::IngestService(core::ShardedEngine &engine,
                              const IngestConfig &cfg)
-    : engine_(engine), cfg_(cfg)
+    : engine_(engine), cfg_(cfg), epochWindow_(engine)
 {
     C2M_ASSERT(cfg_.queueCapacity >= 1,
                "queueCapacity must be >= 1");
@@ -241,9 +215,9 @@ IngestService::stop()
         }
         es.flushedOps = ops.size();
         std::lock_guard<std::mutex> ek(engineMutex_);
-        const auto before = engine_.stats();
+        epochWindow_.reopen();
         engine_.runShardOps(s, ops);
-        addPlanDelta(es, before, engine_.stats());
+        addPlanDelta(es, epochWindow_.delta());
         if (observer)
             observer->onShardOps(s, ops);
         std::lock_guard<std::mutex> lk(m_);
@@ -388,23 +362,26 @@ IngestService::runEpoch(uint64_t epoch)
     const auto t0 = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> ek(engineMutex_);
-        const auto before = engine_.stats();
+        epochWindow_.reopen();
         {
-            obs::ScopedSpan x_span("epoch.execute", obs::kServiceTrack,
-                                   before.fabric.fabricNs);
+            // The fabric clock of the trace is the engine-lifetime
+            // fabric total.
+            obs::ScopedSpan x_span(
+                "epoch.execute", obs::kServiceTrack,
+                obs::tracer() ? engine_.stats().fabric.fabricNs : 0.0);
             executeEpoch(epoch, buckets, es);
             if (x_span.active())
                 x_span.setFabricEnd(engine_.stats().fabric.fabricNs);
         }
-        const auto after = engine_.stats();
-        addPlanDelta(es, before, after);
+        addPlanDelta(es, epochWindow_.delta());
         if (auto *tr = obs::tracer()) {
             // Program-cache hit/miss bursts, sampled per epoch: the
             // counter track's slope shows cache-busting epochs.
+            const auto lifetime = engine_.stats();
             tr->counter("progcache.hits", obs::kServiceTrack,
-                        after.programCacheHits);
+                        lifetime.programCacheHits);
             tr->counter("progcache.misses", obs::kServiceTrack,
-                        after.programCacheMisses);
+                        lifetime.programCacheMisses);
         }
         if (observer_) {
             // Observer hooks run before the epoch is marked applied,

@@ -58,7 +58,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/statfields.hpp"
 #include "core/sharded.hpp"
 #include "obs/metrics.hpp"
 #include "service/coalesce.hpp"
@@ -92,52 +92,35 @@ struct IngestConfig
     double targetEpochFabricNs = 0.0;
 };
 
+/**
+ * ServiceStats fields, one row each (common/statfields.hpp). The plan*
+ * and fabric* rows are sampled per epoch from the engine's
+ * core::StatsWindow delta while the drainer holds the engine, so they
+ * attribute column-parallel execution and modeled fabric cost to
+ * ingest epochs even when other drivers (scrubber, tensor ops) share
+ * the engine: engine.fabric.* remains the engine-lifetime total,
+ * service fabric is the slice this service's epochs executed.
+ */
+#define C2M_SERVICE_STATS_FIELDS(X)                                   \
+    X(uint64_t, submitted, "service.submitted", Sum) /* accepted */   \
+    X(uint64_t, queued, "service.queued", Sum) /* pending (gauge) */  \
+    X(uint64_t, dropped, "service.dropped", Sum) /* Drop rejects */   \
+    X(uint64_t, stalls, "service.stalls", Sum) /* producer blocks */  \
+    X(uint64_t, coalesced, "service.coalesced", Sum) /* merged away */ \
+    X(uint64_t, flushedOps, "service.flushed_ops", Sum) /* executed */ \
+    X(uint64_t, epochs, "service.epochs", Sum) /* epochs applied */   \
+    X(uint64_t, steals, "service.steals", Sum) /* off-home buckets */ \
+    X(uint64_t, plans, "service.plans", Sum)                          \
+    X(uint64_t, planPrograms, "service.plan_programs", Sum)           \
+    X(uint64_t, plannedOps, "service.planned_ops", Sum)               \
+    X(uint64_t, planFallbackOps, "service.plan_fallback_ops", Sum)    \
+    X(double, fabricNs, "service.fabric_ns", Sum)                     \
+    X(double, fabricNj, "service.fabric_nj", Sum)
+
 struct ServiceStats
 {
-    uint64_t submitted = 0;  ///< ops accepted into shard queues
-    uint64_t queued = 0;     ///< ops currently pending (gauge)
-    uint64_t dropped = 0;    ///< ops rejected by Drop backpressure
-    uint64_t stalls = 0;     ///< producer blocks on a full queue
-    uint64_t coalesced = 0;  ///< ops merged away before the fabric
-    uint64_t flushedOps = 0; ///< ops actually executed on the fabric
-    uint64_t epochs = 0;     ///< drain epochs applied
-    uint64_t steals = 0;     ///< buckets executed off their home lane
-    // Drain-planner activity, sampled per epoch from the engine
-    // stats delta while the drainer holds the engine, so the numbers
-    // attribute column-parallel execution to ingest epochs even when
-    // other drivers (scrubber, tensor ops) share the engine.
-    uint64_t plans = 0;        ///< column-parallel plans executed
-    uint64_t planPrograms = 0; ///< masked plane increments issued
-    uint64_t plannedOps = 0;   ///< ops folded into plans
-    uint64_t planFallbackOps = 0; ///< ops replayed per-op instead
-    // Modeled fabric cost attributed to ingest epochs, sampled from
-    // the same per-epoch engine-stats delta as the plan counters —
-    // engine.fabric.* remains the engine-lifetime total, service
-    // fabric is the slice this service's epochs executed.
-    double fabricNs = 0.0; ///< simulated fabric time drained
-    double fabricNj = 0.0; ///< simulated fabric energy drained
-
-    ServiceStats &operator+=(const ServiceStats &o)
-    {
-        submitted += o.submitted;
-        queued += o.queued;
-        dropped += o.dropped;
-        stalls += o.stalls;
-        coalesced += o.coalesced;
-        flushedOps += o.flushedOps;
-        epochs += o.epochs;
-        steals += o.steals;
-        plans += o.plans;
-        planPrograms += o.planPrograms;
-        plannedOps += o.plannedOps;
-        planFallbackOps += o.planFallbackOps;
-        fabricNs += o.fabricNs;
-        fabricNj += o.fabricNj;
-        return *this;
-    }
-
-    /** Named "service.*" counters for the merged report. */
-    CounterMap toCounters() const;
+    C2M_STATS_FIELDS(C2M_SERVICE_STATS_FIELDS)
+    C2M_STATS_OPS(ServiceStats, C2M_SERVICE_STATS_FIELDS)
 };
 
 /**
@@ -340,6 +323,8 @@ class IngestService
     std::vector<uint64_t> lastShardEpoch_;
     /** Drainer-only: per-shard write-combining coalesce tables. */
     std::vector<CoalesceScratch> coalesceScratch_;
+    /** Per-epoch engine sampling window (guarded by engineMutex_). */
+    core::StatsWindow epochWindow_;
 
     std::thread drainer_;
 };

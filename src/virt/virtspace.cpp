@@ -9,30 +9,6 @@
 namespace c2m {
 namespace virt {
 
-CounterMap
-VirtStats::toCounters() const
-{
-    return {
-        {"virt.keys_exact", keysExact},
-        {"virt.resident_groups", residentGroups},
-        {"virt.spilled_groups", spilledGroups},
-        {"virt.pending_restores", pendingRestores},
-        {"virt.sketch_keys", sketchKeys},
-        {"virt.dir_probes", dirProbes},
-        {"virt.est_error_bound",
-         static_cast<uint64_t>(std::llround(estErrorBound))},
-        {"virt.est_error_seed_max", estErrorSeedMax},
-        {"virt.spills", spills},
-        {"virt.restores", restores},
-        {"virt.materializations", materializations},
-        {"virt.promotions", promotions},
-        {"virt.sketch_updates", sketchUpdates},
-        {"virt.journaled_ops", journaledOps},
-        {"virt.maintenance_fabric_ns",
-         static_cast<uint64_t>(std::llround(maintenanceFabricNs))},
-    };
-}
-
 bool
 VirtualCounterSpace::supportsSpill(core::ShardedEngine &engine)
 {

@@ -66,7 +66,7 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/statfields.hpp"
 #include "core/sharded.hpp"
 #include "reliability/mirror.hpp"
 #include "reliability/scrubber.hpp"
@@ -121,28 +121,37 @@ struct VirtConfig
     uint64_t seed = 0x5eed5eedULL;
 };
 
+/**
+ * VirtStats fields, one row each (common/statfields.hpp): gauges
+ * recomputed by stats() first, then monotonic counters.
+ */
+#define C2M_VIRT_STATS_FIELDS(X)                                      \
+    X(uint64_t, keysExact, "virt.keys_exact", Sum) /* exact dir */    \
+    X(uint64_t, residentGroups, "virt.resident_groups", Sum)          \
+    /* groups swapped out / unborn; groups queued for a frame */      \
+    X(uint64_t, spilledGroups, "virt.spilled_groups", Sum)            \
+    X(uint64_t, pendingRestores, "virt.pending_restores", Sum)        \
+    X(uint64_t, sketchKeys, "virt.sketch_keys", Sum) /* estimate */   \
+    X(uint64_t, dirProbes, "virt.dir_probes", Sum) /* collisions */   \
+    /* current sketch 3-sigma bound */                                \
+    X(double, estErrorBound, "virt.est_error_bound", Max)             \
+    /* groups swapped out to images / images swapped back in */       \
+    X(uint64_t, spills, "virt.spills", Sum)                           \
+    X(uint64_t, restores, "virt.restores", Sum)                       \
+    /* first journal-only turn-ins; keys promoted to exact */         \
+    X(uint64_t, materializations, "virt.materializations", Sum)       \
+    X(uint64_t, promotions, "virt.promotions", Sum)                   \
+    /* deltas absorbed approximately / journaled host-side */         \
+    X(uint64_t, sketchUpdates, "virt.sketch_updates", Sum)            \
+    X(uint64_t, journaledOps, "virt.journaled_ops", Sum)              \
+    /* max bound carried by a seed; modeled spill/restore ns */       \
+    X(uint64_t, estErrorSeedMax, "virt.est_error_seed_max", Max)      \
+    X(double, maintenanceFabricNs, "virt.maintenance_fabric_ns", Sum)
+
 struct VirtStats
 {
-    // Gauges (recomputed by stats()).
-    uint64_t keysExact = 0;       ///< keys in the exact directory
-    uint64_t residentGroups = 0;  ///< groups holding a frame
-    uint64_t spilledGroups = 0;   ///< groups swapped out / unborn
-    uint64_t pendingRestores = 0; ///< groups queued for a frame
-    uint64_t sketchKeys = 0;      ///< distinct-key estimate
-    uint64_t dirProbes = 0;       ///< directory collision probes
-    double estErrorBound = 0.0;   ///< current sketch 3-sigma bound
-    // Monotonic counters.
-    uint64_t spills = 0;           ///< groups swapped out to images
-    uint64_t restores = 0;         ///< images swapped back in
-    uint64_t materializations = 0; ///< first journal-only turn-ins
-    uint64_t promotions = 0;       ///< keys promoted to exact
-    uint64_t sketchUpdates = 0;    ///< deltas absorbed approximately
-    uint64_t journaledOps = 0;     ///< deltas journaled host-side
-    uint64_t estErrorSeedMax = 0;  ///< max bound carried by a seed
-    double maintenanceFabricNs = 0.0; ///< modeled spill/restore ns
-
-    /** Named "virt.*" counters for merged reports. */
-    CounterMap toCounters() const;
+    C2M_STATS_FIELDS(C2M_VIRT_STATS_FIELDS)
+    C2M_STATS_OPS(VirtStats, C2M_VIRT_STATS_FIELDS)
 };
 
 class VirtualCounterSpace final : public service::EpochObserver
