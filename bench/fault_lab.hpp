@@ -5,9 +5,11 @@
  * @file
  * Shared harness for the fault-accuracy experiments (Fig. 4 and
  * Fig. 17): runs masked accumulation streams, the DNA pre-alignment
- * filter, and the BERT-proxy classifier on the functional JC (C2M)
- * and RCA (SIMDRAM) engines under None/TMR/ECC protection at a given
- * CIM fault rate.
+ * filter, and the BERT-proxy classifier on C2MEngine under
+ * None/TMR/ECC protection at a given CIM fault rate, with either the
+ * Ambit JC (C2M) backend or the RCA (SIMDRAM) backend. The RCA
+ * configs pick radix 2 so the accumulator width W is set directly:
+ * capacityBits = W - 2 gives RcaBackend::width() == W.
  */
 
 #include <string>
@@ -17,7 +19,6 @@
 #include "common/stats.hpp"
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
-#include "core/simdram.hpp"
 #include "workloads/bertproxy.hpp"
 #include "workloads/dna.hpp"
 
@@ -83,23 +84,36 @@ jcConfig(Scheme s, double fault_rate, size_t counters,
     return cfg;
 }
 
-inline core::SimdramConfig
+/** A W-bit (@p acc_bits) SIMDRAM ripple-carry baseline engine. */
+inline core::EngineConfig
 rcaConfig(Scheme s, double fault_rate, size_t elements,
-          unsigned mask_rows, uint64_t seed)
+          unsigned mask_rows, uint64_t seed, unsigned acc_bits = 24)
 {
-    core::SimdramConfig cfg;
-    cfg.accBits = 24;
-    cfg.numElements = elements;
+    core::EngineConfig cfg;
+    cfg.backend = core::BackendKind::Rca;
+    cfg.radix = 2;
+    cfg.capacityBits = acc_bits - 2;
+    cfg.numCounters = elements;
     cfg.maxMaskRows = mask_rows;
     cfg.faultRate = fault_rate;
     cfg.seed = seed;
     if (s == Scheme::RcaTmr)
-        cfg.protection = core::RcaProtection::Tmr;
+        cfg.protection = core::Protection::Tmr;
     if (s == Scheme::RcaEcc) {
-        cfg.protection = core::RcaProtection::Ecc;
+        cfg.protection = core::Protection::Ecc;
         cfg.maxRetries = 6;
     }
     return cfg;
+}
+
+/** Single-group engine config of @p scheme's substrate. */
+inline core::EngineConfig
+schemeConfig(Scheme s, double fault_rate, size_t counters,
+             unsigned mask_rows, uint64_t seed)
+{
+    return isJc(s) ? jcConfig(s, fault_rate, counters, mask_rows, seed)
+                   : rcaConfig(s, fault_rate, counters, mask_rows,
+                               seed);
 }
 
 /**
@@ -122,27 +136,17 @@ accumulationRmse(Scheme scheme, double fault_rate, size_t counters,
     for (auto v : inputs)
         expected_on += static_cast<int64_t>(v);
 
-    std::vector<int64_t> expected(counters, 0), measured;
+    std::vector<int64_t> expected(counters, 0);
     for (size_t j = 0; j < counters; ++j)
         if (mask[j])
             expected[j] = expected_on;
 
-    if (isJc(scheme)) {
-        core::C2MEngine eng(
-            jcConfig(scheme, fault_rate, counters, 2, seed));
-        const unsigned h = eng.addMask(mask);
-        for (auto v : inputs)
-            eng.accumulate(v, h);
-        measured = eng.readCounters();
-    } else {
-        core::SimdramEngine eng(
-            rcaConfig(scheme, fault_rate, counters, 2, seed));
-        const unsigned h = eng.addMask(mask);
-        for (auto v : inputs)
-            eng.accumulate(v, h);
-        measured = eng.readSigned();
-    }
-    return rmse(measured, expected);
+    core::C2MEngine eng(
+        schemeConfig(scheme, fault_rate, counters, 2, seed));
+    const unsigned h = eng.addMask(mask);
+    for (auto v : inputs)
+        eng.accumulate(v, h);
+    return rmse(eng.readCounters(), expected);
 }
 
 /** Fig. 4b / Fig. 17a: DNA pre-alignment filtering F1. */
@@ -153,31 +157,16 @@ dnaFilterF1(Scheme scheme, double fault_rate,
     std::vector<std::vector<int64_t>> scores;
     const auto tokens = static_cast<unsigned>(dna.numTokens());
 
-    if (isJc(scheme)) {
-        core::C2MEngine eng(jcConfig(scheme, fault_rate,
-                                     dna.numBins(), tokens, seed));
-        std::vector<unsigned> handles;
-        for (unsigned t = 0; t < tokens; ++t)
-            handles.push_back(eng.addMask(dna.tokenMask(t)));
-        for (const auto &read : dna.reads()) {
-            eng.clear();
-            for (const auto &[tok, cnt] : dna.readTokens(read))
-                eng.accumulate(cnt, handles[tok]);
-            scores.push_back(eng.readCounters());
-        }
-    } else {
-        core::SimdramEngine eng(rcaConfig(scheme, fault_rate,
-                                          dna.numBins(), tokens,
-                                          seed));
-        std::vector<unsigned> handles;
-        for (unsigned t = 0; t < tokens; ++t)
-            handles.push_back(eng.addMask(dna.tokenMask(t)));
-        for (const auto &read : dna.reads()) {
-            eng.clear();
-            for (const auto &[tok, cnt] : dna.readTokens(read))
-                eng.accumulate(cnt, handles[tok]);
-            scores.push_back(eng.readSigned());
-        }
+    core::C2MEngine eng(
+        schemeConfig(scheme, fault_rate, dna.numBins(), tokens, seed));
+    std::vector<unsigned> handles;
+    for (unsigned t = 0; t < tokens; ++t)
+        handles.push_back(eng.addMask(dna.tokenMask(t)));
+    for (const auto &read : dna.reads()) {
+        eng.clear();
+        for (const auto &[tok, cnt] : dna.readTokens(read))
+            eng.accumulate(cnt, handles[tok]);
+        scores.push_back(eng.readCounters());
     }
     return dna.evaluate(scores).f1();
 }
@@ -200,9 +189,8 @@ bertAccuracy(Scheme scheme, double fault_rate,
             core::C2MEngine eng(cfg);
             return core::gemvIntTernary(eng, x, W);
         }
-        auto cfg = rcaConfig(scheme, fault_rate, N, 2 * K, sd);
-        cfg.accBits = 20;
-        core::SimdramEngine eng(cfg);
+        core::C2MEngine eng(
+            rcaConfig(scheme, fault_rate, N, 2 * K, sd, 20));
         return core::simdramGemvTernary(eng, x, W);
     };
     return proxy.accuracy(gemv);

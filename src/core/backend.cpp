@@ -86,6 +86,13 @@ CountingBackend::karyDecrement(unsigned, unsigned, unsigned, unsigned)
 }
 
 void
+CountingBackend::addValue(unsigned, uint64_t, unsigned)
+{
+    C2M_PANIC(backendName(kind()),
+              " backend counts digit-wise; it has no whole-value add");
+}
+
+void
 CountingBackend::borrowRipple(unsigned, unsigned)
 {
     C2M_PANIC(backendName(kind()),

@@ -18,15 +18,17 @@
  *  - NvmBackend: Pinatubo (non-stateful AND/OR/NOT) or MAGIC
  *    (stateful NOR-only) machines; Johnson counters, unprotected.
  *  - RcaBackend: the SIMDRAM-style bit-serial ripple-carry baseline;
- *    vertical W-bit binary accumulators where a k-ary digit update
- *    becomes a full-width masked add of k*radix^digit (two's
- *    complement for decrements), with duplicate-compute ECC.
+ *    vertical W-bit binary accumulators where every input is one
+ *    full-width masked add of the whole value (addValue; a planned
+ *    k-ary digit update adds k*radix^digit), with duplicate-compute
+ *    ECC and TMR voting.
  *
  * Capability flags tell the engine which features a substrate
  * supports; the engine asserts them before use, so unsupported
  * configurations fail loudly at construction rather than silently
  * miscounting. Executed programs are replayed from a per-backend
- * ProgramCache keyed by (op, physical group, digit, k, mask row);
+ * ProgramCache keyed by (op, physical group, digit, k, mask row) —
+ * RCA adds by (physical group, W-bit addend, mask row) instead;
  * hit/miss counts surface in EngineStats.
  */
 
@@ -67,7 +69,8 @@ struct BackendCaps
 {
     bool eccChecks = false;      ///< FR-checked programs with retry
     bool tmrVoting = false;      ///< in-fabric replica majority vote
-    bool signedCounting = false; ///< karyDecrement / borrowRipple
+    /** karyDecrement / borrowRipple, or two's-complement addValue. */
+    bool signedCounting = false;
     bool tensorOps = false;      ///< row logic + layouts for vector ops
     /**
      * Deferred carries via per-digit pending (Onext) flags. False for
@@ -118,6 +121,15 @@ class CountingBackend
     /** Masked k-ary decrement (caps().signedCounting). */
     virtual void karyDecrement(unsigned phys, unsigned digit,
                                unsigned k, unsigned mask_row);
+
+    /**
+     * Masked add of a whole input value, reduced mod 2^W (two's
+     * complement for negatives): the per-input primitive of
+     * substrates without pending flags (!caps().pendingFlags), which
+     * cannot decompose inputs into digits or skip zeros.
+     */
+    virtual void addValue(unsigned phys, uint64_t addend,
+                          unsigned mask_row);
 
     /** Deferred carry ripple at digit boundary @p digit. */
     virtual void carryRipple(unsigned phys, unsigned digit) = 0;

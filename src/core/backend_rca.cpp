@@ -8,15 +8,10 @@
 namespace c2m {
 namespace core {
 
+using cim::RowRef;
+using cim::RowSet;
 using uprog::ProgramKey;
 
-namespace {
-
-/**
- * Accumulator width: the signed range must cover the JC modulus
- * radix^D so every value a JC backend can represent reads back
- * identically.
- */
 unsigned
 rcaWidth(unsigned radix, unsigned num_digits)
 {
@@ -33,6 +28,8 @@ rcaWidth(unsigned radix, unsigned num_digits)
                "counter capacity exceeds the 64-bit RCA accumulator");
     return width;
 }
+
+namespace {
 
 std::vector<uprog::RcaLayout>
 buildRcaLayouts(unsigned width, unsigned physical_groups)
@@ -69,6 +66,7 @@ RcaBackend::RcaBackend(const EngineConfig &cfg,
              stats.programCacheMisses)
 {
     caps_.eccChecks = true;
+    caps_.tmrVoting = true;
     caps_.signedCounting = true;
 
     sub_.setCosts(dramCommandCosts(cfg.dramTimings, cfg.dramEnergy,
@@ -107,13 +105,14 @@ RcaBackend::runChecked(const uprog::CheckedProgram &prog)
 }
 
 void
-RcaBackend::maskedAdd(unsigned phys, uint64_t addend,
-                      unsigned mask_row, ProgramKey key)
+RcaBackend::addValue(unsigned phys, uint64_t addend, unsigned mask_row)
 {
-    runChecked(cache_.get(key, [&] {
-        return codegen_[phys].maskedAccumulate(addend & widthMask_,
-                                               mask_row);
-    }));
+    addend &= widthMask_;
+    runChecked(cache_.get(
+        ProgramKey{ProgramKey::Op::Add, phys, 0, 0, mask_row, addend},
+        [&] {
+            return codegen_[phys].maskedAccumulate(addend, mask_row);
+        }));
 }
 
 void
@@ -122,33 +121,13 @@ RcaBackend::karyIncrement(unsigned phys, unsigned digit, unsigned k,
 {
     C2M_ASSERT(digit < numDigits_ && k >= 1 && k < radix_,
                "digit/step out of range");
-    maskedAdd(phys, k * digitWeight_[digit], mask_row,
-              ProgramKey{ProgramKey::Op::Increment, phys,
-                         static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row});
-}
-
-void
-RcaBackend::karyDecrement(unsigned phys, unsigned digit, unsigned k,
-                          unsigned mask_row)
-{
-    C2M_ASSERT(digit < numDigits_ && k >= 1 && k < radix_,
-               "digit/step out of range");
-    maskedAdd(phys, 0 - k * digitWeight_[digit], mask_row,
-              ProgramKey{ProgramKey::Op::Decrement, phys,
-                         static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row});
+    addValue(phys, k * digitWeight_[digit], mask_row);
 }
 
 void
 RcaBackend::carryRipple(unsigned, unsigned)
 {
     // Binary adds resolve carries in place; nothing is pending.
-}
-
-void
-RcaBackend::borrowRipple(unsigned, unsigned)
-{
 }
 
 bool
@@ -158,9 +137,22 @@ RcaBackend::anyPending(unsigned, unsigned)
 }
 
 void
-RcaBackend::foldTopBorrowIntoSign(unsigned)
+RcaBackend::voteDigit(const std::array<unsigned, 3> &phys, unsigned)
 {
-    // Two's complement carries the sign in the accumulator itself.
+    // A binary add's carries cross every bit, so whichever digit the
+    // engine names, the vote covers all W bit rows of the replicas.
+    for (unsigned b = 0; b < width_; ++b) {
+        const RowRef r0 = RowRef::data(layouts_[phys[0]].bitRow(b));
+        const RowRef r1 = RowRef::data(layouts_[phys[1]].bitRow(b));
+        const RowRef r2 = RowRef::data(layouts_[phys[2]].bitRow(b));
+        cim::AmbitProgram p;
+        p.aap(r0, RowRef::t(0));
+        p.aap(r1, RowRef::t(1));
+        p.aap(r2, RowRef::t(2));
+        p.aap(RowSet::b12(), RowSet{r0, r1, r2});
+        sub_.run(p);
+        stats_.voteOps += p.size();
+    }
 }
 
 std::vector<uint64_t>

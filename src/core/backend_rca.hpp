@@ -6,18 +6,23 @@
  * SIMDRAM-style ripple-carry implementation of the counting backend
  * (Sec. 3, Sec. 7.1).
  *
- * Counters are vertical W-bit two's-complement binary accumulators; a
- * masked k-ary update of digit d becomes a full-width masked add of
- * k * radix^d (its two's complement for decrements), rippling a
- * MAJ3 full adder through all W bit positions regardless of the
- * addend's magnitude — the cost the paper's high-radix counting
- * removes. Because every update resolves its carries in place there
- * are no pending flags: ripple requests are no-ops and the engine
- * skips IARM scheduling (caps().pendingFlags == false). W is sized so
- * the signed range covers the Johnson-counter modulus radix^D of an
- * equally-configured JC backend, making cross-backend readouts
- * bit-identical in range. Protection: duplicate-compute-and-compare
- * ECC per MAJ3 step (caps().eccChecks).
+ * Counters are vertical W-bit two's-complement binary accumulators.
+ * Every input is ONE full-width masked add of the whole value
+ * (addValue: value mod 2^W, two's complement for negatives, zeros
+ * included), rippling a MAJ3 full adder through all W bit positions
+ * regardless of the addend's magnitude — the cost the paper's
+ * high-radix counting removes. A planned k-ary update of digit d is
+ * the same add with addend k * radix^d; programs are cached by
+ * addend, so both paths share entries. Because every add resolves
+ * its carries in place there are no pending flags: ripple requests
+ * are no-ops and the engine skips IARM scheduling
+ * (caps().pendingFlags == false). W is sized so the signed range
+ * covers the Johnson-counter modulus radix^D of an
+ * equally-configured JC backend (rcaWidth), making cross-backend
+ * readouts bit-identical in range. Protection:
+ * duplicate-compute-and-compare ECC per MAJ3 step (caps().eccChecks)
+ * and TMR, whose vote covers all W bit rows because carries cross
+ * every bit (caps().tmrVoting).
  */
 
 #include "cim/ambit.hpp"
@@ -27,6 +32,13 @@
 
 namespace c2m {
 namespace core {
+
+/**
+ * Accumulator width W for @p num_digits radix-@p radix digits: the
+ * smallest W whose signed range covers radix^num_digits (panics past
+ * 64 bits). The one sizing rule for the backend and the planner.
+ */
+unsigned rcaWidth(unsigned radix, unsigned num_digits);
 
 class RcaBackend final : public CountingBackend
 {
@@ -44,12 +56,12 @@ class RcaBackend final : public CountingBackend
 
     void karyIncrement(unsigned phys, unsigned digit, unsigned k,
                        unsigned mask_row) override;
-    void karyDecrement(unsigned phys, unsigned digit, unsigned k,
-                       unsigned mask_row) override;
+    void addValue(unsigned phys, uint64_t addend,
+                  unsigned mask_row) override;
     void carryRipple(unsigned phys, unsigned digit) override;
-    void borrowRipple(unsigned phys, unsigned digit) override;
     bool anyPending(unsigned phys, unsigned digit) override;
-    void foldTopBorrowIntoSign(unsigned phys) override;
+    void voteDigit(const std::array<unsigned, 3> &phys,
+                   unsigned digit) override;
 
     std::vector<int64_t> readCounters(unsigned phys) override;
     std::vector<unsigned> readDigit(unsigned phys,
@@ -64,8 +76,6 @@ class RcaBackend final : public CountingBackend
 
   private:
     void runChecked(const uprog::CheckedProgram &prog);
-    void maskedAdd(unsigned phys, uint64_t addend, unsigned mask_row,
-                   uprog::ProgramKey key);
     std::vector<uint64_t> readRaw(unsigned phys);
 
     size_t numCounters_;

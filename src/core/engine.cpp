@@ -168,10 +168,27 @@ C2MEngine::borrowRipple(unsigned group, unsigned digit)
 }
 
 void
+C2MEngine::addValue(unsigned group, uint64_t value, unsigned mask_row)
+{
+    for (unsigned r = 0; r < replicas(); ++r)
+        backend_->addValue(physIndex(group, r), value, mask_row);
+    if (cfg_.protection == Protection::Tmr)
+        voteDigit(group, 0);
+    ++stats_.increments;
+    ++stats_.inputsAccumulated;
+}
+
+void
 C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
                       unsigned group)
 {
     C2M_ASSERT(group < cfg_.numGroups, "group out of range");
+    if (!backend_->caps().pendingFlags) {
+        // In-place carry substrates (RCA) cannot skip zeros: every
+        // input is one full-width masked add.
+        addValue(group, value, maskRowIndex(mask_handle));
+        return;
+    }
     if (value == 0) {
         ++stats_.inputsAccumulated; // zero inputs are skipped entirely
         return;
@@ -181,11 +198,10 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
     C2M_ASSERT(digits.size() < backend_->numDigits(),
                "value exceeds counter capacity");
 
-    const bool pending = backend_->caps().pendingFlags;
     auto &sched = schedulers_[group];
     const bool signed_mode = groupHasDecrements_[group];
 
-    if (pending && !signed_mode) {
+    if (!signed_mode) {
         for (unsigned d : sched.prepareAdd(digits))
             ripple(group, d);
         sched.applyAdd(digits);
@@ -203,9 +219,7 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
         }
     }
 
-    if (!pending) {
-        // In-place carry substrates (RCA) resolve everything per add.
-    } else if (signed_mode) {
+    if (signed_mode) {
         // Signed groups keep Onext fully resolved so the flag's
         // meaning (overflow vs borrow) can switch per input.
         resolveAllPendings(group, /*borrows=*/false);
@@ -348,6 +362,10 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
     }
 
     const unsigned mask_row = maskRowIndex(mask_handle);
+    if (!backend_->caps().pendingFlags) {
+        addValue(group, static_cast<uint64_t>(value), mask_row);
+        return;
+    }
     const auto digits =
         jc::toDigits(static_cast<uint64_t>(-value), cfg_.radix);
     C2M_ASSERT(digits.size() < backend_->numDigits(),
@@ -358,8 +376,7 @@ C2MEngine::accumulateSigned(int64_t value, unsigned mask_handle,
             continue;
         decrementDigit(group, pos, digits[pos], mask_row);
     }
-    if (backend_->caps().pendingFlags)
-        resolveAllPendings(group, /*borrows=*/true);
+    resolveAllPendings(group, /*borrows=*/true);
     ++stats_.inputsAccumulated;
 }
 

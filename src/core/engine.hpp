@@ -11,7 +11,9 @@
  * mask rows of the stationary operand Z. The host-side routine
  * converts each streamed input value into k-ary increment muPrograms
  * (digit unpacking, Sec. 5.1), schedules deferred carry rippling with
- * IARM (Sec. 4.5.2) on substrates with pending flags, and relies on
+ * IARM (Sec. 4.5.2) on substrates with pending flags — the RCA
+ * baseline instead takes each input as one whole-value W-bit add,
+ * zeros included (CountingBackend::addValue) — and relies on
  * the backend's checked execution (check-and-retry, in-fabric voting)
  * when protection is enabled (Sec. 6). Which protection and tensor
  * features a substrate offers is advertised through BackendCaps and
@@ -141,7 +143,9 @@ class C2MEngine
 
     /**
      * Accumulate @p value into every counter of @p group whose bit in
-     * mask @p mask_handle is set (value >= 0).
+     * mask @p mask_handle is set (value >= 0). Zero inputs are free
+     * except on substrates without pending flags (RCA), where every
+     * input, zero included, is one masked add of value mod 2^W.
      */
     void accumulate(uint64_t value, unsigned mask_handle,
                     unsigned group = 0);
@@ -254,6 +258,12 @@ class C2MEngine
 
     /** Majority-vote the rows of digit @p digit across replicas. */
     void voteDigit(unsigned group, unsigned digit);
+
+    /**
+     * One input on a substrate without pending flags: a masked add
+     * of @p value (mod 2^W) per replica, then one vote under TMR.
+     */
+    void addValue(unsigned group, uint64_t value, unsigned mask_row);
 
     void incrementDigit(unsigned group, unsigned digit, unsigned k,
                         unsigned mask_row);

@@ -10,14 +10,15 @@
  * Vector-matrix multiplication is reinterpreted as masked matrix
  * accumulation: y = sum_i x_i * Z_i with the rows Z_i of the
  * stationary matrix stored as counting masks (Fig. 1a). Ternary
- * matrices use two mask planes (+1/-1) with dual-rail counters.
+ * matrices use two mask planes (+1/-1) with dual-rail counters. The
+ * SIMDRAM baseline (Sec. 7.1) runs the same masks on a C2MEngine
+ * with the RCA backend: single rail, two's complement.
  */
 
 #include <cstdint>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/simdram.hpp"
 
 namespace c2m {
 namespace core {
@@ -74,9 +75,13 @@ std::vector<std::vector<int64_t>> gemmIntTernary(
 
 // ---- SIMDRAM baseline kernels ----
 
-/** Ternary GEMV on the RCA engine (two's-complement masked adds). */
+/**
+ * Ternary GEMV on an RCA-backend engine: both mask planes take a
+ * two's-complement add of +x_i / -x_i into one counter group, zeros
+ * included (engine needs maxMaskRows >= 2K).
+ */
 std::vector<int64_t> simdramGemvTernary(
-    SimdramEngine &engine, const std::vector<int64_t> &x,
+    C2MEngine &engine, const std::vector<int64_t> &x,
     const std::vector<std::vector<int8_t>> &Z);
 
 } // namespace core

@@ -6,6 +6,7 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "core/backend_rca.hpp"
 #include "core/costmodel.hpp"
 #include "jc/digits.hpp"
 #include "obs/trace.hpp"
@@ -27,21 +28,6 @@ splitRanges(size_t total, unsigned shards)
     return starts;
 }
 
-/** RCA accumulator width (mirrors backend_rca's sizing rule). */
-unsigned
-rcaModelWidth(unsigned radix, unsigned num_digits)
-{
-    unsigned __int128 modulus = 1;
-    for (unsigned d = 0; d < num_digits; ++d)
-        modulus *= radix;
-    unsigned width = 1;
-    while (width < 64 &&
-           (static_cast<unsigned __int128>(1) << (width - 1)) <
-               modulus)
-        ++width;
-    return width;
-}
-
 /**
  * Modeled ns of one masked k-ary increment per k, on this config's
  * substrate: analytic command counts (C2mCostModel for the JC
@@ -61,7 +47,7 @@ planIncrementNs(const EngineConfig &cfg)
     std::vector<double> inc(cfg.radix, 0.0);
     if (cfg.backend == BackendKind::Rca) {
         const RcaCostModel model(
-            rcaModelWidth(cfg.radix, digits),
+            rcaWidth(cfg.radix, digits),
             cfg.protection == Protection::Ecc);
         for (unsigned k = 1; k < cfg.radix; ++k)
             inc[k] =
@@ -367,16 +353,23 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
 
     // Price the per-op replay alternative over the RAW ops — one
     // increment program per nonzero digit of each original value
-    // plus a point-mask rewrite per counter switch — so a hot key
-    // hit N times costs ~N program chains per-op but shares one
-    // plane set once summed. The merged stage-3 decision compares
-    // the sum of these against ONE global plan.
+    // (RCA: one W-bit add per op, zeros included, which is what
+    // C2MEngine issues without pending flags) plus a point-mask
+    // rewrite per counter switch — so a hot key hit N times costs ~N
+    // program chains per-op but shares one plane set once summed.
+    // The merged stage-3 decision compares the sum of these against
+    // ONE global plan.
+    const bool whole_adds = !eng.backend().caps().pendingFlags;
     size_t prev_col = std::numeric_limits<size_t>::max();
     for (const auto &op : part.ops) {
         const size_t col = static_cast<size_t>(op.counter) - lo;
         if (col != prev_col) {
             part.fallbackNs += sc.maskWriteNs;
             prev_col = col;
+        }
+        if (whole_adds) {
+            part.fallbackNs += planIncNs_[1]; // k-independent on RCA
+            continue;
         }
         for (uint64_t v = static_cast<uint64_t>(op.value); v != 0;
              v /= R)

@@ -7,8 +7,11 @@
  *
  * Counting programs are pure functions of (operation, physical group,
  * digit, step k, mask row index) for a fixed layout and protection
- * configuration, so each backend generates a program once and replays
- * it on every later update with the same key. Programs reference rows
+ * configuration — or, for the ripple-carry baseline's W-bit adds, of
+ * (physical group, addend, mask row index), so a planned digit-plane
+ * add and a whole-value add of the same addend share one entry. Each
+ * backend generates a program once and replays it on every later
+ * update with the same key. Programs reference rows
  * by index only — mask row *contents* may change freely between
  * replays (the point-update path rewrites its mask row constantly).
  *
@@ -47,6 +50,7 @@ struct ProgramKey
         Decrement,
         CarryRipple,
         BorrowRipple,
+        Add, ///< RCA masked W-bit add (digit = k = 0)
     };
 
     Op op = Op::Increment;
@@ -54,11 +58,12 @@ struct ProgramKey
     uint16_t digit = 0;
     uint16_t k = 0;       ///< step (0 for ripples)
     uint32_t maskRow = 0; ///< raw row index (0 for ripples)
+    uint64_t addend = 0;  ///< W-bit addend (Op::Add only)
 
     bool operator==(const ProgramKey &o) const
     {
         return op == o.op && phys == o.phys && digit == o.digit &&
-               k == o.k && maskRow == o.maskRow;
+               k == o.k && maskRow == o.maskRow && addend == o.addend;
     }
 };
 
@@ -71,7 +76,8 @@ struct ProgramKeyHash
                      (static_cast<uint64_t>(key.phys) << 36) ^
                      (static_cast<uint64_t>(key.digit) << 24) ^
                      (static_cast<uint64_t>(key.k) << 32) ^
-                     static_cast<uint64_t>(key.maskRow);
+                     static_cast<uint64_t>(key.maskRow) ^
+                     key.addend * 0x9e3779b97f4a7c15ULL;
         x ^= x >> 30;
         x *= 0xbf58476d1ce4e5b9ULL;
         x ^= x >> 27;

@@ -12,6 +12,8 @@
 
 #include <iterator>
 
+#include "core/backend_rca.hpp"
+#include "core/costmodel.hpp"
 #include "core/engine.hpp"
 #include "core/kernels.hpp"
 #include "core/sharded.hpp"
@@ -245,7 +247,7 @@ TEST(BackendCaps, AdvertiseExpectedFeatures)
             break;
         case BackendKind::Rca:
             EXPECT_TRUE(caps.eccChecks);
-            EXPECT_FALSE(caps.tmrVoting);
+            EXPECT_TRUE(caps.tmrVoting);
             EXPECT_TRUE(caps.signedCounting);
             EXPECT_FALSE(caps.tensorOps);
             EXPECT_FALSE(caps.pendingFlags);
@@ -269,6 +271,53 @@ TEST(BackendProtection, EccRunsOnAmbitAndRca)
                   std::vector<int64_t>(cfg.numCounters, 30));
         EXPECT_GT(eng.stats().checksRun, 0u);
     }
+}
+
+TEST(RcaInputs, EveryInputIsOneFullWidthAdd)
+{
+    // RCA cannot skip zeros or exploit small digits: 1, R^3 - 1 and
+    // 0 each cost exactly one masked W-bit add.
+    auto cfg = baseConfig(BackendKind::Rca);
+    C2MEngine eng(cfg);
+    const unsigned h = eng.addMask(altMask(cfg.numCounters, 0));
+    auto &rca = dynamic_cast<core::RcaBackend &>(eng.backend());
+    const uint64_t add_cmds =
+        core::RcaCostModel(rca.width()).accumulateOps();
+    const uint64_t R = cfg.radix;
+    for (uint64_t v : {uint64_t{1}, R * R * R - 1, uint64_t{0}}) {
+        const auto before = eng.subarray().stats().commands();
+        eng.accumulate(v, h);
+        EXPECT_EQ(eng.subarray().stats().commands() - before, add_cmds)
+            << "value " << v;
+    }
+    EXPECT_EQ(eng.stats().increments, 3u);
+    EXPECT_EQ(eng.stats().inputsAccumulated, 3u);
+}
+
+TEST(RcaInputs, TmrOutvotesACorruptedReplicaRow)
+{
+    auto cfg = baseConfig(BackendKind::Rca);
+    cfg.protection = core::Protection::Tmr;
+    C2MEngine eng(cfg);
+    std::vector<uint8_t> all(cfg.numCounters, 1);
+    const unsigned h = eng.addMask(all);
+    eng.accumulate(5, h);
+
+    // Flip bit 1 of every counter in replica 0 (the one readouts
+    // use): 5 -> 7. The next add's vote must restore it from the two
+    // clean replicas.
+    auto &rca = dynamic_cast<core::RcaBackend &>(eng.backend());
+    const uprog::RcaLayout replica0{rca.width(), 0}; // rows from 0
+    eng.subarray().rawRow(replica0.bitRow(1)).invert();
+    EXPECT_EQ(eng.readCounters(),
+              std::vector<int64_t>(cfg.numCounters, 7));
+
+    eng.accumulate(2, h);
+    for (unsigned r = 0; r < eng.numReplicas(); ++r)
+        EXPECT_EQ(rca.readCounters(eng.physicalGroup(0, r)),
+                  std::vector<int64_t>(cfg.numCounters, 7))
+            << "replica " << r;
+    EXPECT_GT(eng.stats().voteOps, 0u);
 }
 
 TEST(BackendProtection, FaultedEccRetriesAreCacheInvariant)

@@ -2,11 +2,14 @@
  * @file
  * Kernel tests (Sec. 5.2): integer-binary and integer-ternary
  * GEMV/GEMM, CSD bit-sliced integer-integer products, and the
- * SIMDRAM baseline kernels -- all verified against plain references.
+ * SIMDRAM baseline kernels on the RCA backend -- all verified against
+ * plain references.
  */
 
 #include <gtest/gtest.h>
 
+#include "../bench/fault_lab.hpp"
+#include "core/backend_rca.hpp"
 #include "core/bitslice.hpp"
 #include "core/kernels.hpp"
 #include "workloads/sparsity.hpp"
@@ -26,6 +29,14 @@ kernelConfig(size_t n, unsigned mask_rows, unsigned groups = 1)
     cfg.maxMaskRows = mask_rows;
     cfg.numGroups = groups;
     return cfg;
+}
+
+/** SIMDRAM baseline: a fault-free @p width-bit RCA accumulator. */
+EngineConfig
+rcaConfig(size_t n, unsigned mask_rows, unsigned width)
+{
+    return bench::rcaConfig(bench::Scheme::Rca, 0.0, n, mask_rows, 1,
+                            width);
 }
 
 } // namespace
@@ -138,11 +149,7 @@ TEST(SimdramKernels, GemvTernaryMatchesReference)
     const auto Z = workloads::randomTernaryMatrix(K, N, 0.6, 13);
     const auto x = workloads::sparseSignedVector(K, 6, 0.1, 14);
 
-    SimdramConfig cfg;
-    cfg.accBits = 24;
-    cfg.numElements = N;
-    cfg.maxMaskRows = 2 * K;
-    SimdramEngine eng(cfg);
+    C2MEngine eng(rcaConfig(N, 2 * K, 24));
     EXPECT_EQ(simdramGemvTernary(eng, x, Z), refGemvTernary(x, Z));
 }
 
@@ -152,11 +159,7 @@ TEST(SimdramKernels, CannotSkipZeros)
     const auto Z = workloads::randomTernaryMatrix(K, N, 0.5, 15);
     const std::vector<int64_t> zeros(K, 0);
 
-    SimdramConfig cfg;
-    cfg.accBits = 16;
-    cfg.numElements = N;
-    cfg.maxMaskRows = 2 * K;
-    SimdramEngine eng(cfg);
+    C2MEngine eng(rcaConfig(N, 2 * K, 16));
     const auto before = eng.subarray().stats().commands();
     const auto y = simdramGemvTernary(eng, zeros, Z);
     // All-zero input still costs the full 2K ripples.
@@ -166,18 +169,28 @@ TEST(SimdramKernels, CannotSkipZeros)
         EXPECT_EQ(v, 0);
 }
 
-TEST(SimdramEngineTest, SignedAccumulateTwoComplement)
+TEST(SimdramKernels, SignedAccumulateTwoComplement)
 {
-    SimdramConfig cfg;
-    cfg.accBits = 16;
-    cfg.numElements = 8;
-    cfg.maxMaskRows = 2;
-    SimdramEngine eng(cfg);
+    C2MEngine eng(rcaConfig(8, 2, 16));
     const unsigned h = eng.addMask(std::vector<uint8_t>(8, 1));
     eng.accumulateSigned(5, h);
     eng.accumulateSigned(-12, h);
-    for (auto v : eng.readSigned())
+    for (auto v : eng.readCounters())
         EXPECT_EQ(v, -7);
+}
+
+TEST(SimdramKernels, FaultLabConfigsSizeTheAccumulator)
+{
+    // Fig. 4 / 17a use 24-bit accumulators, Fig. 17b 20-bit ones.
+    for (auto scheme : {bench::Scheme::Rca, bench::Scheme::RcaTmr,
+                        bench::Scheme::RcaEcc}) {
+        C2MEngine fig4(bench::rcaConfig(scheme, 0.0, 8, 2, 1));
+        C2MEngine fig17b(bench::rcaConfig(scheme, 0.0, 8, 2, 1, 20));
+        EXPECT_EQ(dynamic_cast<RcaBackend &>(fig4.backend()).width(),
+                  24u);
+        EXPECT_EQ(dynamic_cast<RcaBackend &>(fig17b.backend()).width(),
+                  20u);
+    }
 }
 
 TEST(Kernels, C2mCheaperThanSimdramOnSameWork)
@@ -194,11 +207,7 @@ TEST(Kernels, C2mCheaperThanSimdramOnSameWork)
     gemvIntTernary(c2m_eng, x, Z);
     const auto c2m_cmds = c2m_eng.subarray().stats().commands();
 
-    SimdramConfig scfg;
-    scfg.accBits = 32;
-    scfg.numElements = N;
-    scfg.maxMaskRows = 2 * K;
-    SimdramEngine sd_eng(scfg);
+    C2MEngine sd_eng(rcaConfig(N, 2 * K, 32));
     simdramGemvTernary(sd_eng, x, Z);
     const auto sd_cmds = sd_eng.subarray().stats().commands();
 

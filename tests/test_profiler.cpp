@@ -264,6 +264,37 @@ TEST(SpanFamilies, AggregatesAndRanksByTotalTime)
     EXPECT_EQ(one[0].name, "long");
 }
 
+TEST(EpochProfile, RcaReplayPriceEqualsChargedFabric)
+{
+    // RCA per-op replay is priced at one W-bit add per op, zeros
+    // included, plus a point-mask write per counter switch. Multi-digit
+    // deltas make the plan dearer (one add and one mask write per
+    // plane), forcing the replay; its traced price must be exactly the
+    // fabric time the replay then charges (the trace keeps whole ns).
+    core::ShardedEngine eng(smallConfig(core::BackendKind::Rca, true),
+                            1);
+    const std::vector<core::BatchOp> ops = {
+        {0, 7, 0}, {1, 0, 0}, {2, 13, 0}};
+    TraceRecorder rec;
+    rec.install();
+    const double before = eng.stats().fabric.fabricNs;
+    eng.accumulateBatch(ops);
+    const double replay_ns = eng.stats().fabric.fabricNs - before;
+    rec.uninstall();
+
+    const auto eps = buildEpochProfiles(profileFromRecorder(rec));
+    ASSERT_EQ(eps.size(), 1u);
+    EXPECT_EQ(eps[0].planCommits, 0u);
+    EXPECT_EQ(eps[0].planFallbacks, 1u);
+    EXPECT_GT(replay_ns, 0.0);
+    EXPECT_NEAR(eps[0].fallbackPricedNs, replay_ns, 0.5);
+    EXPECT_EQ(eng.stats().planFallbackOps, ops.size());
+    const auto counters = eng.readAllCounters();
+    EXPECT_EQ(counters[0], 7);
+    EXPECT_EQ(counters[1], 0);
+    EXPECT_EQ(counters[2], 13);
+}
+
 // ---------------------------------------------------------------------
 // Fabric-time ledger: every modeled ns lands in exactly one category
 // and the rows sum bit-exactly to the fabric_ns total.
