@@ -7,7 +7,7 @@
  * per-shard bounded queues and move on. The service's drainer cuts
  * deterministic epochs, coalesces duplicate counters (hot words cost
  * one fabric update per epoch, not one per occurrence), and executes
- * per-shard buckets with whole-bucket work stealing. A snapshot read
+ * per-shard buckets on whichever pool lane is free. A snapshot read
  * at the end is epoch-consistent and bit-identical to feeding the
  * same stream through one blocking engine.
  */

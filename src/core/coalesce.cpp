@@ -1,10 +1,10 @@
-#include "service/coalesce.hpp"
+#include "core/coalesce.hpp"
 
 #include <algorithm>
 #include <cstring>
 
 namespace c2m {
-namespace service {
+namespace core {
 
 namespace {
 
@@ -24,8 +24,8 @@ mixKey(uint64_t counter, uint32_t group)
 } // namespace
 
 void
-coalesceOps(std::span<const core::BatchOp> ops,
-            CoalesceScratch &sc, CoalesceResult &out)
+coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &sc,
+            CoalesceResult &out)
 {
     out.ops.clear();
     out.merged = 0;
@@ -86,14 +86,5 @@ coalesceOps(std::span<const core::BatchOp> ops,
     out.ops.resize(kept);
 }
 
-CoalesceResult
-coalesceOps(std::span<const core::BatchOp> ops)
-{
-    CoalesceScratch sc;
-    CoalesceResult r;
-    coalesceOps(ops, sc, r);
-    return r;
-}
-
-} // namespace service
+} // namespace core
 } // namespace c2m

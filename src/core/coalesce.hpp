@@ -1,10 +1,10 @@
-#ifndef C2M_SERVICE_COALESCE_HPP
-#define C2M_SERVICE_COALESCE_HPP
+#ifndef C2M_CORE_COALESCE_HPP
+#define C2M_CORE_COALESCE_HPP
 
 /**
  * @file
- * Epoch-side op coalescing: sum duplicate deltas per (counter,
- * group) so N hits on a hot counter cost one fabric update.
+ * Point updates and their coalescing: sum duplicate deltas per
+ * (counter, group) so N hits on a hot counter cost one fabric update.
  *
  * The fabric charges a fixed row-op sequence per accumulate call, so
  * merging M same-counter ops into one divides that fixed cost by M —
@@ -22,31 +22,34 @@
  * summed in int64 without overflow checks; callers feed counter
  * deltas, which are far below the 2^63 boundary.
  *
- * Coalescing is the planner's feeder: the coalesced bucket is what
- * ShardedEngine's drain pipeline decomposes into shared (digit, k)
- * plane masks, turning the per-epoch op list into at most D*(R-1)
- * column-parallel fabric programs per group.
- *
- * Two entry points: the scratch-based overload is the epoch hot path
- * — a software write-combining buffer (dense open-addressing table
- * with epoch stamps) that allocates nothing in steady state; the
- * convenience overload owns a throwaway scratch for one-shot callers
- * (stop()-time stragglers, tests).
+ * Two callers share one summer: the ingest service coalesces each
+ * shard's epoch bucket before execution, and ShardedEngine's drain
+ * planner sums every part's per-counter deltas with it before
+ * decomposing the sums into shared (digit, k) plane masks — at most
+ * D*(R-1) column-parallel fabric programs per group. The summer is a
+ * software write-combining buffer (dense open-addressing table with
+ * epoch stamps) that allocates nothing in steady state.
  */
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "core/sharded.hpp"
-
 namespace c2m {
-namespace service {
+namespace core {
+
+/** One histogram-style update, routed to the shard owning @p counter. */
+struct BatchOp
+{
+    uint64_t counter;   ///< logical counter index in [0, numCounters)
+    int64_t value;      ///< negative values take the signed path
+    uint32_t group = 0; ///< counter group, as in C2MEngine
+};
 
 struct CoalesceResult
 {
     /** One op per surviving (counter, group), first-occurrence order. */
-    std::vector<core::BatchOp> ops;
+    std::vector<BatchOp> ops;
     /** Input ops eliminated by merging or zero-sum elision. */
     uint64_t merged = 0;
 };
@@ -56,8 +59,9 @@ struct CoalesceResult
  * group) keys with per-slot epoch stamps, so clearing between epochs
  * is a single counter bump instead of a table wipe. Sized to the
  * next power of two >= 2x the bucket, grown only when a bigger
- * bucket arrives; one scratch per drain lane (IngestService keeps
- * one per shard) keeps the epoch hot path allocation-free.
+ * bucket arrives; one scratch per shard (in IngestService and in each
+ * ShardedEngine planner scratch) keeps the epoch hot path
+ * allocation-free.
  */
 struct CoalesceScratch
 {
@@ -71,17 +75,14 @@ struct CoalesceScratch
 
 /**
  * Write-combining coalesce of @p ops into @p out (cleared first),
- * reusing @p scratch across calls. Identical contract to the
- * convenience overload: surviving ops keep first-occurrence order,
- * zero-sum counters are elided, out.merged counts eliminated input
- * ops.
+ * reusing @p scratch across calls: surviving ops keep
+ * first-occurrence order, zero-sum counters are elided, out.merged
+ * counts eliminated input ops.
  */
-void coalesceOps(std::span<const core::BatchOp> ops,
-                 CoalesceScratch &scratch, CoalesceResult &out);
+void coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &scratch,
+                 CoalesceResult &out);
 
-CoalesceResult coalesceOps(std::span<const core::BatchOp> ops);
-
-} // namespace service
+} // namespace core
 } // namespace c2m
 
-#endif // C2M_SERVICE_COALESCE_HPP
+#endif // C2M_CORE_COALESCE_HPP

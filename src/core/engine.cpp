@@ -233,15 +233,6 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
 }
 
 void
-C2MEngine::accumulatePlan(std::span<const MaskedStep> steps,
-                          unsigned group, uint64_t folded_ops)
-{
-    std::vector<PlanRipple> pre, post;
-    planPrepare(steps, group, pre, post);
-    executePlan(steps, pre, post, group, folded_ops);
-}
-
-void
 C2MEngine::planPrepare(std::span<const MaskedStep> steps,
                        unsigned group, std::vector<PlanRipple> &pre,
                        std::vector<PlanRipple> &post)
@@ -463,22 +454,12 @@ C2MEngine::addCounters(unsigned dst_group, unsigned src_group)
             backend_->rowOr(src.bitRow(dd, b), theta, mrow);
             backend_->rowCopy(mrow, theta);
             // Use the raw mask row (it is not a registered handle).
-            for (unsigned r = 0; r < replicas(); ++r)
-                backend_->karyIncrement(physIndex(dst_group, r), dd,
-                                        1, mrow);
-            if (cfg_.protection == Protection::Tmr)
-                voteDigit(dst_group, dd);
-            ++stats_.increments;
+            incrementDigit(dst_group, dd, 1, mrow);
         }
         for (unsigned b = 0; b < n; ++b) {
             backend_->rowAndNot(theta, src.bitRow(dd, b), mrow);
             backend_->rowCopy(mrow, theta);
-            for (unsigned r = 0; r < replicas(); ++r)
-                backend_->karyIncrement(physIndex(dst_group, r), dd,
-                                        1, mrow);
-            if (cfg_.protection == Protection::Tmr)
-                voteDigit(dst_group, dd);
-            ++stats_.increments;
+            incrementDigit(dst_group, dd, 1, mrow);
         }
         // The source digit's pending-overflow flags were drained
         // above, so none remain by construction.

@@ -47,7 +47,7 @@ namespace core {
  * @p digit of every counter whose bit in mask row @p maskHandle is
  * set. The mask is borrowed, not owned — planners keep a reusable
  * pool of plane masks and hand out pointers for the duration of one
- * accumulatePlan call. Each step carries its own mask handle so
+ * planPrepare/executePlan pair. Each step carries its own mask handle so
  * planes can live in persistent per-plane rows: plane (digit, k)
  * always lands in the same row index, keeping its cached increment
  * program's key stable across epochs.
@@ -155,38 +155,27 @@ class C2MEngine
                           unsigned group = 0);
 
     /**
-     * Column-parallel masked accumulate (Fig. 15): apply a batch of
-     * digit-plane steps, each one masked k-ary increment covering
-     * every counter whose epoch delta has digit k at that position.
-     * This is the multi-counter entry point the drain planner
-     * schedules through — it skips the per-value digit loop entirely:
-     * IARM headroom is prepared ONCE for the whole plan using the
-     * per-digit worst case (max k over the steps of each digit), then
-     * each step writes its plane mask into @p mask_handle's row and
-     * issues a single karyIncrement.
+     * Column-parallel masked accumulate (Fig. 15), host-side half: a
+     * plan is a batch of digit-plane steps, each one masked k-ary
+     * increment covering every counter whose epoch delta has digit k
+     * at that position. This is the multi-counter entry point the
+     * drain planner schedules through — it skips the per-value digit
+     * loop entirely: IARM headroom is prepared ONCE for the whole plan
+     * using the per-digit worst case (max k over the steps of each
+     * digit). Split from executePlan so a hierarchical planner can
+     * prepare every shard's slice of a merged plan before any fabric
+     * work runs.
      *
      * Requirements (planners fall back to per-op replay otherwise):
      * Kary counting, group not in signed mode, each counter covered
-     * by at most one step per digit position. Each step writes its
-     * plane mask into its own MaskedStep::maskHandle row.
-     * @p folded_ops is the number of point updates the plan folds
-     * in; it feeds inputsAccumulated/plannedOps so batch accounting
-     * matches the per-op path.
-     */
-    void accumulatePlan(std::span<const MaskedStep> steps,
-                        unsigned group, uint64_t folded_ops);
-
-    /**
-     * Host-side bookkeeping half of accumulatePlan, split out so a
-     * hierarchical planner can prepare every shard's slice of a
-     * merged plan before any fabric work runs. Validates @p steps,
-     * builds the per-digit worst-case profile, advances the group's
-     * IARM scheduler (prepareAdd/applyAdd) and appends the ripples
-     * the plan owes to @p pre — plus, in FullRipple mode, the
-     * unconditional post-pass to @p post. Touches no fabric state;
-     * the caller decides each ripple's gang role and then runs
-     * executePlan. planPrepare + executePlan with the same arguments
-     * is exactly accumulatePlan.
+     * by at most one step per digit position.
+     *
+     * Validates @p steps, builds the per-digit worst-case profile,
+     * advances the group's IARM scheduler (prepareAdd/applyAdd) and
+     * appends the ripples the plan owes to @p pre — plus, in
+     * FullRipple mode, the unconditional post-pass to @p post.
+     * Touches no fabric state; the caller decides each ripple's gang
+     * role and then runs executePlan.
      */
     void planPrepare(std::span<const MaskedStep> steps,
                      unsigned group, std::vector<PlanRipple> &pre,
@@ -199,8 +188,10 @@ class C2MEngine
      * Lead ripples/steps charge FabricCat::Plan (mask writes
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
-     * the lead shard's issue slots. @p folded_ops feeds
-     * plannedOps/inputsAccumulated exactly like accumulatePlan.
+     * the lead shard's issue slots. @p folded_ops is the number of
+     * point updates the plan folds in; it feeds
+     * inputsAccumulated/plannedOps so batch accounting matches the
+     * per-op path.
      */
     void executePlan(std::span<const MaskedStep> steps,
                      std::span<const PlanRipple> pre,

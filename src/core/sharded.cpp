@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -62,6 +63,28 @@ planIncrementNs(const EngineConfig &cfg)
     return inc;
 }
 
+/**
+ * Single-writer claim on one shard for the guard's lifetime. Shards
+ * are strictly single-writer: a second writer inside one shard means
+ * a scheduling bug above this layer, and panics.
+ */
+class ShardGuard
+{
+  public:
+    ShardGuard(std::atomic<bool> &busy, unsigned s) : busy_(busy)
+    {
+        C2M_ASSERT(!busy_.exchange(true, std::memory_order_acquire),
+                   "concurrent writers on shard ", s);
+    }
+    ~ShardGuard() { busy_.store(false, std::memory_order_release); }
+
+    ShardGuard(const ShardGuard &) = delete;
+    ShardGuard &operator=(const ShardGuard &) = delete;
+
+  private:
+    std::atomic<bool> &busy_;
+};
+
 } // namespace
 
 ShardedEngine::ShardedEngine(const EngineConfig &cfg,
@@ -70,7 +93,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
     : cfg_(cfg),
       starts_(splitRanges(cfg.numCounters,
                           num_shards ? num_shards : 1)),
-      pool_(num_threads ? num_threads : num_shards)
+      pool_(num_threads ? num_threads : std::max(1u, num_shards))
 {
     C2M_ASSERT(num_shards >= 1, "need at least one shard");
     C2M_ASSERT(cfg.numCounters >= num_shards,
@@ -127,6 +150,9 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
                       (shardWidth(s) + 7) / 8));
     }
     shardBusy_ = std::make_unique<std::atomic<bool>[]>(num_shards);
+    allShards_.resize(num_shards);
+    for (unsigned s = 0; s < num_shards; ++s)
+        allShards_[s] = s;
 }
 
 unsigned
@@ -160,7 +186,7 @@ ShardedEngine::setMask(unsigned handle,
                        const std::vector<uint8_t> &mask)
 {
     C2M_ASSERT(handle < numMasks_, "unknown mask handle ", handle);
-    forEachShard([&](C2MEngine &eng, unsigned s) {
+    runShards(allShards_, [&](C2MEngine &eng, unsigned s) {
         std::vector<uint8_t> slice(shardWidth(s), 0);
         const size_t lo = starts_[s];
         for (size_t c = 0; c < slice.size() && lo + c < mask.size();
@@ -180,11 +206,7 @@ void
 ShardedEngine::runShardOps(unsigned s, std::span<const BatchOp> ops)
 {
     C2M_ASSERT(s < numShards(), "shard index out of range: ", s);
-    // Whole-bucket stealing keeps shards single-writer; two threads
-    // inside one shard means a scheduler bug above this layer.
-    C2M_ASSERT(!shardBusy_[s].exchange(true,
-                                       std::memory_order_acquire),
-               "concurrent writers on shard ", s);
+    const ShardGuard guard(shardBusy_[s], s);
     // One-bucket degenerate case of the epoch pipeline: the merged
     // stage-3 decision over a single shard reduces exactly to the
     // classic per-shard plan-vs-fallback comparison, so this path is
@@ -193,7 +215,6 @@ ShardedEngine::runShardOps(unsigned s, std::span<const BatchOp> ops)
     const unsigned self[1] = {s};
     planParts(self);
     execShardParts(s);
-    shardBusy_[s].store(false, std::memory_order_release);
 }
 
 void
@@ -201,11 +222,8 @@ ShardedEngine::runShardTask(
     unsigned s, const std::function<void(C2MEngine &, size_t)> &fn)
 {
     C2M_ASSERT(s < numShards(), "shard index out of range: ", s);
-    C2M_ASSERT(!shardBusy_[s].exchange(true,
-                                       std::memory_order_acquire),
-               "concurrent writers on shard ", s);
+    const ShardGuard guard(shardBusy_[s], s);
     fn(*shards_[s], starts_[s]);
-    shardBusy_[s].store(false, std::memory_order_release);
 }
 
 void
@@ -287,23 +305,16 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
     if (eng.signedMode(part.group))
         return;
 
-    // Sum each counter's delta (first-occurrence order). A negative
-    // op means serial replay could enter signed mode mid-bucket —
-    // fall back so the op-for-op state machine stays bit-identical.
-    sc.index.clear();
-    sc.sums.clear();
-    const size_t lo = starts_[s];
-    for (const auto &op : part.ops) {
+    // A negative op means serial replay could enter signed mode
+    // mid-bucket — fall back so the op-for-op state machine stays
+    // bit-identical. Otherwise sum each counter's delta
+    // (first-occurrence order; all-zero counters drop out, and they
+    // would populate no plane).
+    for (const auto &op : part.ops)
         if (op.value < 0)
             return;
-        const uint64_t col = op.counter - lo;
-        const auto [it, inserted] =
-            sc.index.try_emplace(col, sc.sums.size());
-        if (inserted)
-            sc.sums.emplace_back(static_cast<size_t>(col), op.value);
-        else
-            sc.sums[it->second].second += op.value;
-    }
+    coalesceOps(part.ops, sc.summer, sc.sums);
+    const size_t lo = starts_[s];
 
     // Build the digit planes: counter col joins plane (d, k) iff its
     // summed delta has digit k at position d. The top digit is the
@@ -318,8 +329,9 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
         part.planeUsed.assign(part.planes.size(), 0);
     }
     bool over_capacity = false;
-    for (const auto &[col, delta] : sc.sums) {
-        uint64_t v = static_cast<uint64_t>(delta);
+    for (const BatchOp &sum : sc.sums.ops) {
+        const size_t col = static_cast<size_t>(sum.counter) - lo;
+        uint64_t v = static_cast<uint64_t>(sum.value);
         unsigned pos = 0;
         while (v != 0) {
             const unsigned k = static_cast<unsigned>(v % R);
@@ -556,87 +568,60 @@ ShardedEngine::execShardParts(unsigned s)
         tr->spanEnd("shard.drain", s, eng.stats().fabric.fabricNs);
 }
 
-void
-ShardedEngine::forEachBucket(
-    std::span<const EpochBucket> buckets, bool stealing,
-    uint64_t *steals_out,
-    const std::function<void(const EpochBucket &)> &fn)
+uint64_t
+ShardedEngine::runShards(
+    std::span<const unsigned> shards,
+    const std::function<void(C2MEngine &, unsigned)> &fn)
 {
-    if (pool_.size() == 0) {
-        for (const EpochBucket &b : buckets)
-            fn(b);
-        return;
-    }
-    if (!stealing) {
-        for (const EpochBucket &b : buckets)
-            pool_.post(b.shard, [&fn, &b] { fn(b); });
-        pool_.drain();
-        return;
-    }
-    // Work stealing: a claim loop on every lane pops whole buckets
-    // off a shared index, so an idle lane picks up a busy lane's
-    // next shard instead of waiting behind it. Per-shard order stays
-    // fixed (one bucket per shard per call), only placement moves.
     std::atomic<size_t> next{0};
     std::atomic<uint64_t> steals{0};
     const unsigned lanes = static_cast<unsigned>(
-        std::min<size_t>(pool_.size(), buckets.size()));
+        std::min<size_t>(pool_.size(), shards.size()));
     for (unsigned l = 0; l < lanes; ++l)
         pool_.post(l, [&] {
             const unsigned lane = pool_.currentLane();
             for (;;) {
                 const size_t i =
                     next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= buckets.size())
+                if (i >= shards.size())
                     return;
-                const EpochBucket &b = buckets[i];
-                if (b.shard % pool_.size() != lane)
+                const unsigned s = shards[i];
+                C2M_ASSERT(s < numShards(),
+                           "shard index out of range: ", s);
+                if (s % pool_.size() != lane)
                     steals.fetch_add(1, std::memory_order_relaxed);
-                fn(b);
+                const ShardGuard guard(shardBusy_[s], s);
+                fn(*shards_[s], s);
             }
         });
     pool_.drain();
-    if (steals_out)
-        *steals_out += steals.load(std::memory_order_relaxed);
+    return steals.load(std::memory_order_relaxed);
 }
 
-void
-ShardedEngine::runEpoch(std::span<const EpochBucket> buckets,
-                        bool stealing, uint64_t *steals_out)
+uint64_t
+ShardedEngine::runEpoch(std::span<const EpochBucket> buckets)
 {
     if (buckets.empty())
-        return;
-    // Stage 1+2 — combine + count (host-only, parallel): partition
-    // each bucket by group, sum deltas, build plane histograms.
-    forEachBucket(buckets, stealing, nullptr,
-                  [this](const EpochBucket &b) {
-                      C2M_ASSERT(
-                          !shardBusy_[b.shard].exchange(
-                              true, std::memory_order_acquire),
-                          "concurrent writers on shard ", b.shard);
-                      prepareShardParts(b.shard, b.ops);
-                      shardBusy_[b.shard].store(
-                          false, std::memory_order_release);
-                  });
-    // Stage 3 — merged scan/offset + gang leadership (host-serial;
-    // no stage-1/4 task in flight, so scratch access is exclusive).
+        return 0;
     std::vector<unsigned> ids;
     ids.reserve(buckets.size());
-    for (const EpochBucket &b : buckets)
+    std::vector<std::span<const BatchOp>> ops(numShards());
+    for (const EpochBucket &b : buckets) {
         ids.push_back(b.shard);
+        ops[b.shard] = b.ops;
+    }
+    // Stage 1+2 — combine + count (host-only, parallel): partition
+    // each bucket by group, sum deltas, build plane histograms.
+    runShards(ids, [this, &ops](C2MEngine &, unsigned s) {
+        prepareShardParts(s, ops[s]);
+    });
+    // Stage 3 — merged scan/offset + gang leadership (host-serial;
+    // no stage-1/4 task in flight, so scratch access is exclusive).
     planParts(ids);
     // Stage 4 — execute the plane slices (parallel). Only this stage
     // counts steals: it is the one doing fabric work.
-    forEachBucket(buckets, stealing, steals_out,
-                  [this](const EpochBucket &b) {
-                      C2M_ASSERT(
-                          !shardBusy_[b.shard].exchange(
-                              true, std::memory_order_acquire),
-                          "concurrent writers on shard ", b.shard);
-                      execShardParts(b.shard);
-                      shardBusy_[b.shard].store(
-                          false, std::memory_order_release);
-                  });
+    return runShards(
+        ids, [this](C2MEngine &, unsigned s) { execShardParts(s); });
 }
 
 void
@@ -652,7 +637,7 @@ ShardedEngine::accumulateBatch(std::span<const BatchOp> ops)
     for (unsigned s = 0; s < numShards(); ++s)
         if (!buckets[s].empty())
             eb.push_back({s, buckets[s]});
-    runEpoch(eb, /*stealing=*/true);
+    runEpoch(eb);
 }
 
 void
@@ -661,7 +646,7 @@ ShardedEngine::accumulate(uint64_t value, unsigned mask_handle,
 {
     C2M_ASSERT(mask_handle < numMasks_, "unknown mask handle ",
                mask_handle);
-    forEachShard([&](C2MEngine &eng, unsigned) {
+    runShards(allShards_, [&](C2MEngine &eng, unsigned) {
         eng.accumulate(value, mask_handle + reservedMasks_, group);
     });
 }
@@ -672,7 +657,7 @@ ShardedEngine::accumulateSigned(int64_t value, unsigned mask_handle,
 {
     C2M_ASSERT(mask_handle < numMasks_, "unknown mask handle ",
                mask_handle);
-    forEachShard([&](C2MEngine &eng, unsigned) {
+    runShards(allShards_, [&](C2MEngine &eng, unsigned) {
         eng.accumulateSigned(value, mask_handle + reservedMasks_,
                              group);
     });
@@ -682,7 +667,7 @@ std::vector<int64_t>
 ShardedEngine::readAllCounters(unsigned group)
 {
     std::vector<int64_t> out(cfg_.numCounters);
-    forEachShard([&](C2MEngine &eng, unsigned s) {
+    runShards(allShards_, [&](C2MEngine &eng, unsigned s) {
         const auto part = eng.readCounters(group);
         std::copy(part.begin(), part.end(),
                   out.begin() + static_cast<ptrdiff_t>(starts_[s]));
@@ -693,7 +678,7 @@ ShardedEngine::readAllCounters(unsigned group)
 void
 ShardedEngine::addCounters(unsigned dst_group, unsigned src_group)
 {
-    forEachShard([&](C2MEngine &eng, unsigned) {
+    runShards(allShards_, [&](C2MEngine &eng, unsigned) {
         eng.addCounters(dst_group, src_group);
     });
 }
@@ -701,15 +686,15 @@ ShardedEngine::addCounters(unsigned dst_group, unsigned src_group)
 void
 ShardedEngine::relu(unsigned group)
 {
-    forEachShard(
-        [&](C2MEngine &eng, unsigned) { eng.relu(group); });
+    runShards(allShards_,
+              [&](C2MEngine &eng, unsigned) { eng.relu(group); });
 }
 
 void
 ShardedEngine::shiftLeft(unsigned group, unsigned spare_group,
                          unsigned amount)
 {
-    forEachShard([&](C2MEngine &eng, unsigned) {
+    runShards(allShards_, [&](C2MEngine &eng, unsigned) {
         eng.shiftLeft(group, spare_group, amount);
     });
 }
@@ -717,14 +702,15 @@ ShardedEngine::shiftLeft(unsigned group, unsigned spare_group,
 void
 ShardedEngine::drain(unsigned group)
 {
-    forEachShard(
-        [&](C2MEngine &eng, unsigned) { eng.drain(group); });
+    runShards(allShards_,
+              [&](C2MEngine &eng, unsigned) { eng.drain(group); });
 }
 
 void
 ShardedEngine::clear()
 {
-    forEachShard([&](C2MEngine &eng, unsigned) { eng.clear(); });
+    runShards(allShards_,
+              [](C2MEngine &eng, unsigned) { eng.clear(); });
 }
 
 EngineStats

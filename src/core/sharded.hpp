@@ -11,8 +11,13 @@
  * subarray, with its own RNG stream derived from EngineConfig::seed
  * and its own EngineStats. Shards share no mutable state, so a batch
  * executes with no locks on the hot path: ops are bucketed per shard
- * on the host, and each shard's bucket runs FIFO on a fixed
- * ThreadPool lane.
+ * on the host, and every parallel per-shard task — broadcasts, tensor
+ * ops, epoch stages, scrub sweeps — goes through one claim loop
+ * (runShards): free pool lanes claim the listed shards from a shared
+ * index, and each shard's task runs start to finish on one worker
+ * inside the shard's single-writer guard. Which lane runs a shard
+ * depends on scheduling; what a shard computes depends only on the
+ * order its tasks are called in.
  *
  * Two ingest paths:
  *  - accumulateBatch(): histogram-style point updates, each routed to
@@ -82,24 +87,20 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvec.hpp"
 #include "common/stats.hpp"
+#include "core/coalesce.hpp"
 #include "core/engine.hpp"
 #include "core/threadpool.hpp"
 
 namespace c2m {
-namespace core {
+namespace reliability {
+class Scrubber;
+}
 
-/** One histogram-style update, routed to the shard owning @p counter. */
-struct BatchOp
-{
-    uint64_t counter;   ///< logical counter index in [0, numCounters)
-    int64_t value;      ///< negative values take the signed path
-    uint32_t group = 0; ///< counter group, as in C2MEngine
-};
+namespace core {
 
 class ShardedEngine
 {
@@ -161,40 +162,32 @@ class ShardedEngine
      * pipeline (see the file comment): parallel combine/count per
      * bucket, one merged scan/offset plan per group priced globally
      * and sliced back with gang-issue roles, then parallel sliced
-     * execution. @p stealing selects the claim loop (any lane may
-     * run any bucket's stage task) over pinned lanes; stolen
-     * execute-stage tasks are added to @p steals_out when non-null.
+     * execution. Both parallel stages run through runShards. Returns
+     * the execute-stage steals (buckets run off their home lane).
      * Counter results are bit-identical to draining each bucket
      * through runShardOps, and to replaySerial on the concatenated
      * op stream.
      */
-    void runEpoch(std::span<const EpochBucket> buckets, bool stealing,
-                  uint64_t *steals_out = nullptr);
+    uint64_t runEpoch(std::span<const EpochBucket> buckets);
 
     /**
      * Execute a ready bucket of point updates, all owned by shard
-     * @p s, on the calling thread in bucket order. This is the seam
-     * the async ingest drainer schedules through: any thread may run
-     * any shard's bucket (work stealing), but shards are strictly
-     * single-writer — concurrent callers on one shard panic, and
-     * per-shard op order is whatever order the buckets are run in.
+     * @p s, on the calling thread in bucket order. Any thread may run
+     * any shard's bucket, but shards are strictly single-writer —
+     * concurrent callers on one shard panic, and per-shard op order
+     * is whatever order the buckets are run in.
      */
     void runShardOps(unsigned s, std::span<const BatchOp> ops);
 
     /**
      * Run an arbitrary task against shard @p s on the calling thread
-     * under the same single-writer guard as runShardOps. This is the
-     * scrub entry point: a reliability sweep may run on any lane (or
-     * the drainer thread) while other shards keep executing, but two
-     * writers inside one shard panic. @p fn receives the shard engine
-     * and the shard's first logical counter index.
+     * under the same single-writer guard as runShardOps: two writers
+     * inside one shard panic. @p fn receives the shard engine and the
+     * shard's first logical counter index.
      */
     void runShardTask(
         unsigned s,
         const std::function<void(C2MEngine &, size_t)> &fn);
-
-    /** The lane pool shard work is scheduled on (lane s = shard s). */
-    ThreadPool &pool() { return pool_; }
 
     /** Broadcast @p value to masked counters on every shard. */
     void accumulate(uint64_t value, unsigned mask_handle,
@@ -233,6 +226,9 @@ class ShardedEngine
     EngineStats statsSince(std::span<const EngineStats> begin) const;
 
   private:
+    /** Scrub sweeps of due shards run through runShards. */
+    friend class reliability::Scrubber;
+
     /** Internal mask handle reserved per shard for point updates. */
     static constexpr unsigned kPointMask = 0;
     /**
@@ -279,8 +275,9 @@ class ShardedEngine
     /**
      * Per-shard planner workspace. Reused across buckets so the
      * steady-state drain path performs no per-op allocation: the
-     * point mask is updated two bits at a time, the delta accumulator
-     * map and the part list keep their capacity between epochs.
+     * point mask is updated two bits at a time, the delta summer's
+     * table and output and the part list keep their capacity between
+     * epochs.
      * Guarded by the shard's single-writer discipline like the
      * engine itself — except stage 3, which runs host-serial across
      * all shards of an epoch with no stage-1/4 task in flight.
@@ -289,9 +286,9 @@ class ShardedEngine
     {
         BitVector pointMask; ///< reusable single-bit point mask
         size_t pointCol;     ///< column currently set in pointMask
-        /** Coalesced per-counter delta sums of the current part. */
-        std::unordered_map<uint64_t, size_t> index;
-        std::vector<std::pair<size_t, int64_t>> sums;
+        /** Per-counter delta sums of the current part. */
+        CoalesceScratch summer;
+        CoalesceResult sums;
         /** Group partition of this shard's bucket, parts[0..used). */
         std::vector<PlanPart> parts;
         size_t partsUsed = 0;
@@ -327,15 +324,20 @@ class ShardedEngine
     /** Per-op replay of @p ops through the shard's point mask. */
     void runShardSerial(unsigned s, std::span<const BatchOp> ops);
     /**
-     * Run @p fn once per bucket on the pool and drain: pinned to each
-     * bucket's home lane, or through a work-stealing claim loop.
+     * Run @p fn(engine, s) once for each shard s in @p shards, each
+     * call inside that shard's single-writer guard, and drain. One
+     * claim loop per lane (at most one per shard) pops shards off a
+     * shared index in list order, so an idle lane picks up the next
+     * shard instead of waiting behind a busy one. Each shard runs its
+     * tasks in call order whatever lane claims them, which keeps
+     * counter values, command streams and the fabric ledger
+     * independent of scheduling. Returns the steals: shards run off
+     * their home lane (s % pool size). Must not be called from a pool
+     * worker.
      */
-    void forEachBucket(
-        std::span<const EpochBucket> buckets, bool stealing,
-        uint64_t *steals_out,
-        const std::function<void(const EpochBucket &)> &fn);
-    /** Run @p fn(shard) on every shard in parallel, then drain. */
-    template <typename Fn> void forEachShard(Fn &&fn);
+    uint64_t runShards(
+        std::span<const unsigned> shards,
+        const std::function<void(C2MEngine &, unsigned)> &fn);
 
     /** Persistent mask-row handle of plane index @p idx. */
     unsigned planeHandle(size_t idx) const
@@ -349,7 +351,7 @@ class ShardedEngine
     std::vector<size_t> starts_; ///< numShards+1 range boundaries
     std::vector<std::unique_ptr<C2MEngine>> shards_;
     std::vector<PlannerScratch> scratch_; ///< one per shard
-    /** Single-writer guard per shard for the stealing path. */
+    /** Single-writer flag per shard (see ShardGuard in sharded.cpp). */
     std::unique_ptr<std::atomic<bool>[]> shardBusy_;
     unsigned numMasks_ = 0;
     /** Shard-internal handles reserved below the public ones. */
@@ -363,6 +365,8 @@ class ShardedEngine
      * Drives the merged plan-vs-fallback decision in planParts.
      */
     std::vector<double> planIncNs_;
+    /** Every shard, in order: the list broadcasts run over. */
+    std::vector<unsigned> allShards_;
     ThreadPool pool_;
 };
 
@@ -429,15 +433,6 @@ Histogram countersToHistogram(std::span<const int64_t> counters,
 std::vector<int64_t> replaySerial(const EngineConfig &cfg,
                                   std::span<const BatchOp> ops,
                                   unsigned group = 0);
-
-template <typename Fn>
-void
-ShardedEngine::forEachShard(Fn &&fn)
-{
-    for (unsigned s = 0; s < numShards(); ++s)
-        pool_.post(s, [this, s, &fn] { fn(*shards_[s], s); });
-    pool_.drain();
-}
 
 } // namespace core
 } // namespace c2m

@@ -15,6 +15,8 @@ thread_local unsigned tlLane = ThreadPool::kNoLane;
 
 ThreadPool::ThreadPool(unsigned num_threads)
 {
+    C2M_ASSERT(num_threads >= 1,
+               "thread pool needs at least one worker");
     lanes_.reserve(num_threads);
     workers_.reserve(num_threads);
     for (unsigned i = 0; i < num_threads; ++i)
@@ -41,11 +43,6 @@ ThreadPool::post(unsigned lane, std::function<void()> fn)
     {
         std::lock_guard<std::mutex> lk(doneMutex_);
         ++pending_;
-    }
-    if (workers_.empty()) {
-        runTask(fn);
-        finishTask();
-        return;
     }
     Lane &l = *lanes_[lane % lanes_.size()];
     std::lock_guard<std::mutex> lk(l.m);
@@ -90,30 +87,19 @@ ThreadPool::workerLoop(unsigned index, Lane &lane)
             fn = std::move(lane.q.front());
             lane.q.pop_front();
         }
-        runTask(fn);
-        finishTask();
-    }
-}
-
-void
-ThreadPool::runTask(const std::function<void()> &fn)
-{
-    try {
-        fn();
-    } catch (...) {
+        std::exception_ptr error;
+        try {
+            fn();
+        } catch (...) {
+            error = std::current_exception();
+        }
         std::lock_guard<std::mutex> lk(doneMutex_);
-        if (!firstError_)
-            firstError_ = std::current_exception();
+        if (error && !firstError_)
+            firstError_ = error;
+        C2M_ASSERT(pending_ > 0, "task finished with none pending");
+        if (--pending_ == 0)
+            doneCv_.notify_all();
     }
-}
-
-void
-ThreadPool::finishTask()
-{
-    std::lock_guard<std::mutex> lk(doneMutex_);
-    C2M_ASSERT(pending_ > 0, "task finished with none pending");
-    if (--pending_ == 0)
-        doneCv_.notify_all();
 }
 
 } // namespace core

@@ -3,26 +3,17 @@
 
 /**
  * @file
- * Fixed-size thread pool with per-worker (lane) FIFO queues.
+ * Fixed-size thread pool with one FIFO queue (lane) per worker.
  *
- * Built for the sharded engine: work for shard s is always posted to
- * lane s % size(), so tasks touching the same shard are serialized in
- * post order on a single worker while different shards run on
- * different workers. No task ever migrates between lanes, which keeps
- * execution — and therefore simulation results — independent of how
- * the OS schedules the workers.
- *
- * Lane FIFO guarantee: tasks posted to one lane run one at a time, in
- * post order, entirely on that lane's worker. The pool itself never
- * steals — a queued task is invisible to every other worker. Work
- * stealing (service::IngestService's drain path) is therefore built
- * ABOVE the pool: a claim loop posted to every lane pops whole ready
- * per-shard buckets from a shared list, so a "stolen" bucket still
- * runs start-to-finish on a single worker and per-shard order is
- * fixed by the claim order, never by lane scheduling. Stealers can
- * identify their worker via currentLane() and the sharded engine
- * asserts single-threaded shard access underneath (see
- * ShardedEngine::runShardOps).
+ * Tasks posted to one lane run one at a time, in post order, on that
+ * lane's worker; the pool never moves a queued task to another
+ * worker. The pool has one client, ShardedEngine::runShards, which
+ * posts one claim loop per lane: the loops pop whole shards off a
+ * shared index, so which worker runs a shard depends on scheduling,
+ * but each shard's task runs start to finish on one worker under the
+ * shard's single-writer guard, and results depend only on the order
+ * each shard's tasks are called in. currentLane() lets a claim loop
+ * tell whether it runs a shard on its home lane or steals it.
  *
  * Locks are taken only at enqueue/dequeue; the tasks themselves (the
  * hot path, whole per-shard batches) run without any shared mutable
@@ -45,18 +36,14 @@ namespace core {
 class ThreadPool
 {
   public:
-    /**
-     * @param num_threads worker count; 0 selects inline mode, where
-     *        post() runs the task on the calling thread immediately
-     *        (useful for debugging and for strictly serial baselines).
-     */
+    /** @param num_threads worker count (>= 1). */
     explicit ThreadPool(unsigned num_threads);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** Worker count (0 in inline mode). */
+    /** Worker count. */
     unsigned size() const
     {
         return static_cast<unsigned>(workers_.size());
@@ -68,14 +55,11 @@ class ThreadPool
     /**
      * Lane index of the calling thread if it is one of this pool's
      * workers, kNoLane otherwise. Lets a claim-loop task tell whether
-     * it is executing a bucket on its home lane or stealing it.
+     * it is executing a shard on its home lane or stealing it.
      */
     unsigned currentLane() const;
 
-    /**
-     * Enqueue @p fn on lane @p lane % size(); tasks on one lane run
-     * FIFO. In inline mode the task runs before post() returns.
-     */
+    /** Enqueue @p fn on lane @p lane % size(); one lane runs FIFO. */
     void post(unsigned lane, std::function<void()> fn);
 
     /**
@@ -95,8 +79,6 @@ class ThreadPool
     };
 
     void workerLoop(unsigned index, Lane &lane);
-    void runTask(const std::function<void()> &fn);
-    void finishTask();
 
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::vector<std::thread> workers_;

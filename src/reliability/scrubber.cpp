@@ -157,20 +157,6 @@ Scrubber::sweepDue()
     if (cfg_.maxShardsPerBoundary &&
         due.size() > cfg_.maxShardsPerBoundary)
         due.resize(cfg_.maxShardsPerBoundary);
-    if (cfg_.maxSweepNsPerBoundary > 0.0 && due.size() > 1) {
-        // Fabric-time budget: admit shards while the predicted cost
-        // (each shard's last measured sweep ns; 0 before the first
-        // sweep) fits. The first due shard always sweeps.
-        double predicted = 0.0;
-        size_t keep = 0;
-        for (const unsigned s : due) {
-            predicted += shards_[s].lastSweepCostNs;
-            if (keep > 0 && predicted > cfg_.maxSweepNsPerBoundary)
-                break;
-            ++keep;
-        }
-        due.resize(keep);
-    }
     if (due.empty())
         return;
     rotate_ = (due.back() + 1) % n;
@@ -178,23 +164,11 @@ Scrubber::sweepDue()
 }
 
 void
-Scrubber::runSweeps(const std::vector<unsigned> &due)
+Scrubber::runSweeps(std::span<const unsigned> due)
 {
-    const auto sweep = [this](unsigned s) {
-        engine_.runShardTask(
-            s, [this, s](core::C2MEngine &eng, size_t) {
-                sweepShard(eng, shards_[s], boundary_);
-            });
-    };
-    core::ThreadPool &pool = engine_.pool();
-    if (!cfg_.parallel || pool.size() == 0 || due.size() == 1) {
-        for (unsigned s : due)
-            sweep(s);
-        return;
-    }
-    for (unsigned s : due)
-        pool.post(s, [&sweep, s] { sweep(s); });
-    pool.drain();
+    engine_.runShards(due, [this](core::C2MEngine &eng, unsigned s) {
+        sweepShard(eng, shards_[s], boundary_);
+    });
 }
 
 void
@@ -280,7 +254,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
         std::max<uint64_t>(1, boundary - st.lastSweepBoundary);
     st.lastSweepBoundary = boundary;
     d.sweepFabricNs = eng.backend().opStats().fabricNs - ns0;
-    st.lastSweepCostNs = d.sweepFabricNs;
     if (tr)
         tr->spanEnd("scrub.sweep", track,
                     eng.backend().opStats().fabricNs);

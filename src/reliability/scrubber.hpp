@@ -74,16 +74,6 @@ struct ScrubConfig
     /** Budget: at most this many shard sweeps per boundary
      *  (0 = unlimited). Overdue shards rotate fairly. */
     unsigned maxShardsPerBoundary = 0;
-    /**
-     * Fabric-time budget: skip further due sweeps once the predicted
-     * cost of this boundary's sweeps (each shard's last measured
-     * fabric ns, see docs/perf.md) exceeds this (0 = unlimited). At
-     * least one due shard always sweeps, so overdue shards cannot
-     * starve; composes with maxShardsPerBoundary (tighter wins).
-     */
-    double maxSweepNsPerBoundary = 0.0;
-    /** Run due sweeps in parallel on the engine's lane pool. */
-    bool parallel = true;
     /** Let the HealthMonitor retune interval and FR checks. */
     bool adaptive = false;
     /** Per-bit decay injected into the mirror store per boundary
@@ -195,9 +185,6 @@ class Scrubber final : public service::EpochObserver
         std::unordered_map<uint64_t, int64_t> journal;
         uint64_t lastSweepBoundary = 0;
         uint64_t lastTra = 0; ///< fabric TRA count at last sweep
-        /** Measured fabric ns of this shard's last sweep — the
-         *  predictor for the maxSweepNsPerBoundary budget. */
-        double lastSweepCostNs = 0.0;
         ScrubStats stats;
         Rng decayRng{1};
     };
@@ -205,9 +192,9 @@ class Scrubber final : public service::EpochObserver
     /** Shared boundary prologue: advance cadence, decay the store. */
     void beginBoundary();
     void sweepDue();
-    /** Sweep @p due shards, on the lane pool when cfg().parallel. */
-    void runSweeps(const std::vector<unsigned> &due);
-    /** Sweep one shard (single-writer guard held by runShardTask). */
+    /** Sweep @p due shards in parallel (ShardedEngine::runShards). */
+    void runSweeps(std::span<const unsigned> due);
+    /** Sweep one shard (caller holds its single-writer guard). */
     void sweepShard(core::C2MEngine &eng, ShardState &st,
                     uint64_t boundary);
     void injectStoreDecay();

@@ -5,26 +5,9 @@
 
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
-#include "service/coalesce.hpp"
 
 namespace c2m {
 namespace service {
-
-namespace {
-
-/** Attribute a drain's planner and fabric activity to this epoch. */
-void
-addPlanDelta(ServiceStats &es, const core::EngineStats &d)
-{
-    es.plans += d.plansExecuted;
-    es.planPrograms += d.planPrograms;
-    es.plannedOps += d.plannedOps;
-    es.planFallbackOps += d.planFallbackOps;
-    es.fabricNs += d.fabric.fabricNs;
-    es.fabricNj += d.fabric.fabricNj;
-}
-
-} // namespace
 
 IngestService::IngestService(core::ShardedEngine &engine,
                              const IngestConfig &cfg)
@@ -188,7 +171,7 @@ IngestService::stop()
         drainer_.join();
     EpochObserver *observer;
     {
-        // The straggler + observer shutdown turn runs exactly once;
+        // The leftover-epoch + observer shutdown turn runs once;
         // a second stop() (typically the destructor's) must not call
         // back into an observer the caller may have destroyed. The
         // observer pointer is snapshotted under m_ like report()'s.
@@ -200,36 +183,23 @@ IngestService::stop()
     }
     for (auto &q : queues_)
         q->close();
-    // Ops that slipped in between the drainer's last epoch and
-    // close() are applied inline so accepted work is never lost.
-    for (unsigned s = 0; s < engine_.numShards(); ++s) {
-        auto ops = queues_[s]->cut();
-        if (ops.empty())
-            continue;
-        queuedOps_.fetch_sub(ops.size(), std::memory_order_relaxed);
-        ServiceStats es;
-        if (cfg_.coalesce) {
-            auto r = coalesceOps(ops);
-            es.coalesced = r.merged;
-            ops = std::move(r.ops);
+    // Ops accepted between the drainer's last epoch and close() run
+    // as one more epoch on this thread, so accepted work is never
+    // lost. A closed queue accepts nothing, so the sizes are exact.
+    bool leftover = false;
+    for (const auto &q : queues_)
+        leftover |= q->sizeApprox() > 0;
+    if (leftover) {
+        uint64_t epoch;
+        {
+            std::lock_guard<std::mutex> lk(m_);
+            epoch = ++cutEpoch_;
         }
-        es.flushedOps = ops.size();
-        std::lock_guard<std::mutex> ek(engineMutex_);
-        epochWindow_.reopen();
-        engine_.runShardOps(s, ops);
-        addPlanDelta(es, epochWindow_.delta());
-        if (observer)
-            observer->onShardOps(s, ops);
-        std::lock_guard<std::mutex> lk(m_);
-        stats_ += es;
+        runEpoch(epoch);
     }
     // Final observer turn: an attached scrubber must reconcile
-    // everything it deferred (budgeted or interval-spaced sweeps),
-    // stragglers included, before the engine is read post-stop.
-    // Epoch labels are not advanced here — straggler application is
-    // outside the epoch protocol whether or not an observer is
-    // attached, and every pre-stop flush token was already satisfied
-    // by the drainer before it exited.
+    // everything it deferred (budgeted or interval-spaced sweeps)
+    // before the engine is read post-stop.
     if (observer) {
         std::lock_guard<std::mutex> ek(engineMutex_);
         uint64_t final_epoch;
@@ -349,9 +319,9 @@ IngestService::runEpoch(uint64_t epoch)
         // Per-shard write-combining tables persist across epochs, so
         // the steady-state coalesce pass allocates only the output
         // vector it hands to the bucket.
-        CoalesceResult r;
+        core::CoalesceResult r;
         for (auto &b : buckets) {
-            coalesceOps(b.ops, coalesceScratch_[b.shard], r);
+            core::coalesceOps(b.ops, coalesceScratch_[b.shard], r);
             es.coalesced += r.merged;
             b.ops = std::move(r.ops);
         }
@@ -373,7 +343,15 @@ IngestService::runEpoch(uint64_t epoch)
             if (x_span.active())
                 x_span.setFabricEnd(engine_.stats().fabric.fabricNs);
         }
-        addPlanDelta(es, epochWindow_.delta());
+        // Attribute the drain's planner and fabric activity to this
+        // epoch.
+        const core::EngineStats d = epochWindow_.delta();
+        es.plans += d.plansExecuted;
+        es.planPrograms += d.planPrograms;
+        es.plannedOps += d.plannedOps;
+        es.planFallbackOps += d.planFallbackOps;
+        es.fabricNs += d.fabric.fabricNs;
+        es.fabricNj += d.fabric.fabricNj;
         if (auto *tr = obs::tracer()) {
             // Program-cache hit/miss bursts, sampled per epoch: the
             // counter track's slope shows cache-busting epochs.
@@ -466,17 +444,15 @@ IngestService::executeEpoch(uint64_t epoch,
         lastShardEpoch_[b.shard] = epoch;
     }
     // One call per epoch into the engine's hierarchical drain
-    // pipeline: per-shard combine/count stages run on the lane pool
-    // (pinned or stolen per cfg_.workStealing), the merged
-    // scan/offset plan is priced globally, and cross-shard plane
-    // programs gang-issue instead of replicating per shard.
+    // pipeline: per-shard combine/count stages run on the lane pool's
+    // claim loop, the merged scan/offset plan is priced globally, and
+    // cross-shard plane programs gang-issue instead of replicating
+    // per shard.
     std::vector<core::ShardedEngine::EpochBucket> eb;
     eb.reserve(buckets.size());
     for (const auto &b : buckets)
         eb.push_back({b.shard, b.ops});
-    uint64_t steals = 0;
-    engine_.runEpoch(eb, cfg_.workStealing, &steals);
-    epoch_stats.steals += steals;
+    epoch_stats.steals += engine_.runEpoch(eb);
 }
 
 size_t

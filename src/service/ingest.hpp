@@ -12,13 +12,14 @@
  *   1. cut: every shard queue's pending ops are swapped out (each
  *      cut is a FIFO prefix of that shard's submissions);
  *   2. coalesce: per shard, duplicate (counter, group) deltas are
- *      summed through a per-shard write-combining scratch table so a
- *      hot counter costs one fabric update per epoch;
+ *      summed through a per-shard write-combining scratch table
+ *      (core/coalesce.hpp) so a hot counter costs one fabric update
+ *      per epoch;
  *   3. execute: the epoch's buckets run through the engine's
  *      hierarchical drain pipeline (ShardedEngine::runEpoch) on the
- *      lane pool — stage tasks either pinned to their home lane, or
- *      (workStealing) claimed by whichever lane is free, so one
- *      skewed shard cannot serialize the epoch behind busy lanes.
+ *      lane pool — stage tasks are claimed by whichever lane is
+ *      free, so one skewed shard cannot serialize the epoch behind
+ *      busy lanes.
  *      With the engine's drain planner on
  *      (EngineConfig::drainPlanner, default), the epoch executes as
  *      ONE merged set of column-parallel digit planes, gang-issued
@@ -61,7 +62,6 @@
 #include "common/statfields.hpp"
 #include "core/sharded.hpp"
 #include "obs/metrics.hpp"
-#include "service/coalesce.hpp"
 #include "service/queue.hpp"
 
 namespace c2m {
@@ -78,7 +78,6 @@ struct IngestConfig
      */
     size_t minDrainOps = 1;
     bool coalesce = true;
-    bool workStealing = true;
     Backpressure backpressure = Backpressure::Block;
     /**
      * Fabric-time epoch sizing: when > 0, the drainer adapts its
@@ -237,8 +236,12 @@ class IngestService
 
     /**
      * Drain every queued op and join the drainer (idempotent; the
-     * destructor calls it). Stop producers first: ops submitted
-     * after stop() returns are rejected.
+     * destructor calls it). Ops accepted before the queues close are
+     * never lost: if any are still queued once the drainer has
+     * joined, stop() runs them as one more ordinary epoch on the
+     * calling thread — it advances the epoch counter, and an
+     * attached observer sees onEpochApplied for it before onStop.
+     * Ops submitted after stop() closes the queues are rejected.
      */
     void stop();
 
@@ -319,10 +322,13 @@ class IngestService
 
     /** Serializes epoch execution against snapshot reads. */
     mutable std::mutex engineMutex_;
-    /** Drainer-only: last epoch executed per shard (FIFO assert). */
+    /**
+     * Epoch-side state, touched by the drainer thread or by stop()
+     * after the drainer joined: last epoch executed per shard (FIFO
+     * assert) and per-shard write-combining coalesce tables.
+     */
     std::vector<uint64_t> lastShardEpoch_;
-    /** Drainer-only: per-shard write-combining coalesce tables. */
-    std::vector<CoalesceScratch> coalesceScratch_;
+    std::vector<core::CoalesceScratch> coalesceScratch_;
     /** Per-epoch engine sampling window (guarded by engineMutex_). */
     core::StatsWindow epochWindow_;
 

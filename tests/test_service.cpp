@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <unordered_map>
 
 #include "common/rng.hpp"
 #include "core/sharded.hpp"
 #include "reliability/scrubber.hpp"
-#include "service/coalesce.hpp"
 #include "service/ingest.hpp"
 #include "virt/virtspace.hpp"
 #include "workloads/dna.hpp"
@@ -63,13 +63,22 @@ randomOps(size_t n, size_t counters, uint64_t seed,
     return ops;
 }
 
+core::CoalesceResult
+coalesce(const std::vector<BatchOp> &ops)
+{
+    core::CoalesceScratch scratch;
+    core::CoalesceResult r;
+    core::coalesceOps(ops, scratch, r);
+    return r;
+}
+
 } // namespace
 
 TEST(Coalesce, MergesDuplicatesKeepsFirstOccurrenceOrder)
 {
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {3, 1, 0}, {5, -1, 0}, {7, 4, 0}, {3, -1, 0}};
-    const auto r = service::coalesceOps(ops);
+    const auto r = coalesce(ops);
     ASSERT_EQ(r.ops.size(), 2u);
     // Counter 3 cancels to zero and is elided; 5 and 7 keep the
     // order they first appeared in.
@@ -84,7 +93,7 @@ TEST(Coalesce, GroupsStaySeparate)
 {
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {5, 3, 1}, {5, 1, 0}};
-    const auto r = service::coalesceOps(ops);
+    const auto r = coalesce(ops);
     ASSERT_EQ(r.ops.size(), 2u);
     EXPECT_EQ(r.ops[0].group, 0u);
     EXPECT_EQ(r.ops[0].value, 3);
@@ -293,25 +302,65 @@ TEST(Ingest, WorkStealingOnFullySkewedBatch)
 {
     const auto cfg = baseConfig(64);
     // Every op lands on shard 0 (counters 0..15 of 64 over 4
-    // shards): with stealing, any idle lane may claim the bucket.
+    // shards): any idle lane may claim the bucket.
     Rng rng(17);
     std::vector<BatchOp> ops;
     for (size_t i = 0; i < 300; ++i)
         ops.push_back({rng.nextBounded(16),
                        static_cast<int64_t>(rng.nextBounded(30)),
                        0});
-    const auto reference = core::replaySerial(cfg, ops);
 
-    for (const bool stealing : {true, false}) {
-        ShardedEngine engine(cfg, 4);
-        IngestConfig icfg;
-        icfg.workStealing = stealing;
-        IngestService svc(engine, icfg);
-        EXPECT_EQ(service::submitConcurrent(svc, ops, 4),
-                  ops.size());
-        EXPECT_EQ(svc.readCounters(), reference)
-            << "stealing=" << stealing;
-    }
+    ShardedEngine engine(cfg, 4);
+    IngestService svc(engine);
+    EXPECT_EQ(service::submitConcurrent(svc, ops, 4), ops.size());
+    EXPECT_EQ(svc.readCounters(), core::replaySerial(cfg, ops));
+}
+
+TEST(Ingest, StopRacingProducersLosesNoAcceptedOp)
+{
+    // Producers keep submitting unit deltas while stop() runs: every
+    // op a submit() accepted must be applied — by the drainer, or by
+    // the leftover epoch stop() runs after closing the queues — and
+    // every other op rejected.
+    const auto cfg = baseConfig(64);
+    ShardedEngine engine(cfg, 4);
+    IngestConfig icfg;
+    icfg.queueCapacity = 64;
+    icfg.minDrainOps = 32;
+    IngestService svc(engine, icfg);
+
+    std::atomic<uint64_t> accepted{0};
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < 4; ++p)
+        producers.emplace_back([&, p] {
+            Rng rng(100 + p);
+            // Submit until the closed queues reject an op (bounded),
+            // paced so the drainer can empty the queues and exit
+            // while producers still submit.
+            for (size_t i = 0; i < 20000; ++i) {
+                const BatchOp op{rng.nextBounded(cfg.numCounters), 1,
+                                 0};
+                if (!svc.submit(op))
+                    break;
+                accepted.fetch_add(1);
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(20));
+            }
+        });
+    while (accepted.load() < 200)
+        std::this_thread::yield();
+    svc.stop();
+    for (auto &t : producers)
+        t.join();
+
+    int64_t sum = 0;
+    for (const int64_t v : engine.readAllCounters())
+        sum += v;
+    EXPECT_EQ(sum, static_cast<int64_t>(accepted.load()));
+    const auto st = svc.serviceStats();
+    EXPECT_EQ(st.submitted, accepted.load());
+    EXPECT_EQ(st.flushedOps + st.coalesced, accepted.load());
+    EXPECT_EQ(st.queued, 0u);
 }
 
 TEST(Ingest, SixteenProducersEightShardsBitExact)

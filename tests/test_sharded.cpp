@@ -590,26 +590,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// Hierarchical epoch pipeline (runEpoch): merged plans + gang issue
+// Hierarchical epoch pipeline (accumulateBatch runs one runEpoch):
+// merged plans + gang issue
 // ---------------------------------------------------------------------
 
 namespace {
-
-/** Route @p ops into per-shard epoch buckets and drain them through
-    the hierarchical pipeline in one runEpoch call. */
-void
-drainEpoch(ShardedEngine &eng, const std::vector<BatchOp> &ops,
-           bool stealing = true)
-{
-    std::vector<std::vector<BatchOp>> buckets(eng.numShards());
-    for (const auto &op : ops)
-        buckets[eng.shardOf(op.counter)].push_back(op);
-    std::vector<ShardedEngine::EpochBucket> eb;
-    for (unsigned s = 0; s < eng.numShards(); ++s)
-        if (!buckets[s].empty())
-            eb.push_back({s, buckets[s]});
-    eng.runEpoch(eb, stealing);
-}
 
 /** Gang-issue ledger invariants every drained engine must satisfy. */
 void
@@ -653,7 +638,7 @@ TEST_P(EpochPipeline, UnsignedEpochMatchesSerialReplay)
     EngineConfig pcfg = cfg;
     pcfg.drainPlanner = true;
     ShardedEngine eng(pcfg, shards);
-    drainEpoch(eng, ops);
+    eng.accumulateBatch(ops);
     EXPECT_EQ(eng.readAllCounters(), ref);
 
     const auto st = eng.stats();
@@ -681,7 +666,7 @@ TEST_P(EpochPipeline, SignedEpochFallsBackAndMatches)
     EngineConfig pcfg = cfg;
     pcfg.drainPlanner = true;
     ShardedEngine eng(pcfg, shards);
-    drainEpoch(eng, ops);
+    eng.accumulateBatch(ops);
     EXPECT_EQ(eng.readAllCounters(), ref);
 
     const auto st = eng.stats();
@@ -701,10 +686,10 @@ TEST_P(EpochPipeline, StatsWindowCoversOnlyItsBatch)
     const auto lifetime = core::StatsWindow::lifetime(eng);
 
     // Warm-up epoch on the per-op path, then the measured batch.
-    drainEpoch(eng, randomOps(300, cfg.numCounters, 83, true));
+    eng.accumulateBatch(randomOps(300, cfg.numCounters, 83, true));
     const core::StatsWindow batch(eng);
     const auto ops = positiveOps(800, cfg.numCounters, 77);
-    drainEpoch(eng, ops);
+    eng.accumulateBatch(ops);
 
     // A window from zero is the engine's lifetime view, exactly.
     const auto total = eng.stats();
@@ -769,9 +754,9 @@ TEST(EpochPipeline, RepeatedEpochsReuseScratchAndStayExact)
     const auto e1 = positiveOps(500, cfg.numCounters, 5);
     const auto e2 = zipfOps(700, cfg.numCounters, 6);
     const auto e3 = distinctDeltaOps(cfg.numCounters);
-    drainEpoch(eng, e1);
-    drainEpoch(eng, e2, /*stealing=*/false);
-    drainEpoch(eng, e3);
+    eng.accumulateBatch(e1);
+    eng.accumulateBatch(e2);
+    eng.accumulateBatch(e3);
 
     std::vector<BatchOp> all = e1;
     all.insert(all.end(), e2.begin(), e2.end());
@@ -792,7 +777,7 @@ TEST(EpochPipeline, MultiGroupEpochMergesPerGroup)
     EngineConfig pcfg = cfg;
     pcfg.drainPlanner = true;
     ShardedEngine eng(pcfg, 4);
-    drainEpoch(eng, ops);
+    eng.accumulateBatch(ops);
     for (unsigned g = 0; g < 3; ++g)
         EXPECT_EQ(eng.readAllCounters(g),
                   core::replaySerial(cfg, ops, g))
@@ -814,7 +799,7 @@ TEST(EpochPipeline, MergedPlanAttributionSublinearInShards)
 
     auto planAttr = [&](unsigned shards) {
         ShardedEngine eng(cfg, shards);
-        drainEpoch(eng, ops);
+        eng.accumulateBatch(ops);
         EXPECT_GT(eng.stats().plansExecuted, 0u);
         return eng.stats().fabric.attr(cim::FabricCat::Plan);
     };
@@ -893,4 +878,21 @@ TEST(ShardedWorkloads, SparsityValueHistogramMatchesHost)
         ++mexp[static_cast<size_t>(v < 0 ? -v : v)];
     for (int64_t v = 0; v < 32; ++v)
         EXPECT_EQ(hm.binCount(v), mexp[static_cast<size_t>(v)]);
+}
+
+// Every parallel per-shard task runs under the shard's single-writer
+// guard, broadcasts included: a broadcast issued while the caller
+// already holds shard 0 is a second writer on shard 0. The pool's
+// workers are threads, so the child must re-execute the binary
+// rather than fork this process mid-test.
+TEST(ShardedDeathTest, BroadcastInsideShardTaskPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ShardedEngine eng(baseConfig(64), 4);
+    const unsigned h = eng.addMask(std::vector<uint8_t>(64, 1));
+    EXPECT_DEATH(eng.runShardTask(0,
+                                  [&](C2MEngine &, size_t) {
+                                      eng.accumulate(1, h);
+                                  }),
+                 "concurrent writers");
 }
