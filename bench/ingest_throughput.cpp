@@ -23,10 +23,10 @@
  *  - fabric cost (EngineStats fabric ns/nj, docs/perf.md): every
  *    cell reports the modeled fabric time and energy of its stream.
  *  - plan-path program caching: an extra Zipf cell drains the same
- *    stream over a 16-epoch window; because digit planes live in
- *    persistent reserved mask rows, plan programs generated in the
- *    first epochs replay from the ProgramCache afterwards — the
- *    cell's hit rate must exceed 90%.
+ *    stream over a 16-epoch window; plan programs are keyed by
+ *    (digit, k) and bind the plane-mask row when they run, so those
+ *    generated in the first epochs replay from the ProgramCache
+ *    afterwards — the cell's hit rate must exceed 90%.
  *
  * Exit status: 0 iff the 4-producer / 4-shard Zipf cell coalesces
  * >= 2x, the planner cuts its fabric programs >= 5x, the multi-epoch
@@ -361,10 +361,10 @@ main(int argc, char **argv)
         }
         if (zipf) {
             // Multi-epoch planner-cache cell: drain the same stream
-            // over a ~16-epoch window. Digit planes live in
-            // persistent reserved mask rows, so the plan programs
-            // generated in the first epochs replay from the
-            // ProgramCache in every later one.
+            // over a ~16-epoch window. Plan programs are keyed by
+            // (digit, k), not by mask row, so those generated in the
+            // first epochs replay from the ProgramCache in every
+            // later one.
             auto cell = runCell(h, "zipf-16ep", ops, reference, 4, 4,
                                 true, true, kNumOps / 16, 16);
             all_match = all_match && cell.match;

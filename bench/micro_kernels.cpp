@@ -284,7 +284,7 @@ BM_MuProgramGeneration(benchmark::State &state)
     unsigned k = 1;
     size_t ops = 0;
     for (auto _ : state) {
-        auto prog = gen.karyIncrement(0, k, layout.endRow());
+        auto prog = gen.karyIncrement(0, k);
         ops += prog.totalOps();
         benchmark::DoNotOptimize(prog);
         k = k % (radix - 1) + 1;

@@ -64,8 +64,7 @@ main()
             o.frChecks = c / 2;
             uprog::AmbitCodegen gen(layout, o);
             row.push_back(TextTable::fmt(static_cast<uint64_t>(
-                gen.karyIncrement(0, 1, layout.endRow())
-                    .totalOps())));
+                gen.karyIncrement(0, 1).totalOps())));
             // Interleave paper/ours per FR setting.
             if (c != 6) {
                 // keep order: paper, ours pairs are appended in the

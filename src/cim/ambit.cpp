@@ -92,10 +92,12 @@ BitVector &
 AmbitSubarray::cell(const RowRef &ref)
 {
     switch (ref.kind) {
-      case RowRef::Kind::Data:
-        C2M_ASSERT(ref.index < dataRows_.size(), "data row ",
-                   ref.index, " out of range");
-        return dataRows_[ref.index];
+      case RowRef::Kind::Data: {
+        const uint32_t row = bindMask(ref.index, boundMask_);
+        C2M_ASSERT(row < dataRows_.size(), "data row ", row,
+                   " out of range");
+        return dataRows_[row];
+      }
       case RowRef::Kind::T:
         C2M_ASSERT(ref.index < 4, "T index out of range");
         return tRegs_[ref.index];
@@ -211,10 +213,12 @@ AmbitSubarray::execute(const AmbitOp &op)
 }
 
 void
-AmbitSubarray::run(const AmbitProgram &prog)
+AmbitSubarray::run(const AmbitProgram &prog, uint32_t mask_row)
 {
+    boundMask_ = mask_row;
     for (const auto &op : prog.ops)
         execute(op);
+    boundMask_ = kMaskRow;
 }
 
 } // namespace cim

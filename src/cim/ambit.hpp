@@ -69,7 +69,11 @@ class AmbitSubarray
     // ---- Command execution ----
 
     void execute(const AmbitOp &op);
-    void run(const AmbitProgram &prog);
+    /**
+     * Execute @p prog with its kMaskRow operands bound to data row
+     * @p mask_row for the duration of the run (unbound by default).
+     */
+    void run(const AmbitProgram &prog, uint32_t mask_row = kMaskRow);
 
     OpStats &stats() { return stats_; }
     const OpStats &stats() const { return stats_; }
@@ -85,7 +89,10 @@ class AmbitSubarray
     const CommandCosts &costs() const { return costs_; }
 
   private:
-    /** Storage cell behind a row reference (not C0/C1). */
+    /**
+     * Storage cell behind a row reference (not C0/C1); kMaskRow
+     * resolves to the bound mask row.
+     */
     BitVector &cell(const RowRef &ref);
 
     /**
@@ -119,6 +126,8 @@ class AmbitSubarray
     OpStats stats_;
     CommandCosts costs_;
     Rng rng_;
+    /** Row kMaskRow resolves to while run() executes a program. */
+    uint32_t boundMask_ = kMaskRow;
 };
 
 } // namespace cim

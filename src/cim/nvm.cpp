@@ -79,14 +79,14 @@ NvmMachine::hostReadRow(size_t r)
 BitVector
 NvmMachine::readRef(const NvmRef &ref) const
 {
-    C2M_ASSERT(ref.row < rows_.size(), "row ", ref.row,
-               " out of range");
+    const uint32_t row = bindMask(ref.row, boundMask_);
+    C2M_ASSERT(row < rows_.size(), "row ", row, " out of range");
     if (!ref.neg)
-        return rows_[ref.row];
+        return rows_[row];
     C2M_ASSERT(tech_ == NvmTech::Pinatubo,
                "negated operands require Pinatubo-style sensing");
     BitVector v(numCols_);
-    v.assignNot(rows_[ref.row]);
+    v.assignNot(rows_[row]);
     return v;
 }
 
@@ -137,10 +137,12 @@ NvmMachine::execute(const NvmOp &op)
 }
 
 void
-NvmMachine::run(const NvmProgram &prog)
+NvmMachine::run(const NvmProgram &prog, uint32_t mask_row)
 {
+    boundMask_ = mask_row;
     for (const auto &op : prog.ops)
         execute(op);
+    boundMask_ = kMaskRow;
 }
 
 } // namespace cim

@@ -26,6 +26,7 @@
 
 #include "cim/cost.hpp"
 #include "cim/fault.hpp"
+#include "cim/rowaddr.hpp"
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 
@@ -114,7 +115,11 @@ class NvmMachine
     const BitVector &hostReadRow(size_t r);
 
     void execute(const NvmOp &op);
-    void run(const NvmProgram &prog);
+    /**
+     * Execute @p prog with its kMaskRow operands bound to row
+     * @p mask_row for the duration of the run (unbound by default).
+     */
+    void run(const NvmProgram &prog, uint32_t mask_row = kMaskRow);
 
     OpStats &stats() { return stats_; }
     const OpStats &stats() const { return stats_; }
@@ -128,6 +133,7 @@ class NvmMachine
     const CommandCosts &costs() const { return costs_; }
 
   private:
+    /** Operand value; kMaskRow resolves to the bound mask row. */
     BitVector readRef(const NvmRef &ref) const;
 
     size_t numCols_;
@@ -137,6 +143,8 @@ class NvmMachine
     OpStats stats_;
     CommandCosts costs_;
     Rng rng_;
+    /** Row kMaskRow resolves to while run() executes a program. */
+    uint32_t boundMask_ = kMaskRow;
 };
 
 } // namespace cim

@@ -34,8 +34,30 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
+
 namespace c2m {
 namespace cim {
+
+/**
+ * The mask operand of a counting muProgram. A program is a fixed
+ * command sequence for one (digit, k) step that runs under a mask
+ * row (Sec. 5.1): code generators emit this sentinel wherever they
+ * read the mask, and the simulators resolve it to the row bound by
+ * run(prog, mask_row). Executing it with no row bound panics.
+ */
+inline constexpr uint32_t kMaskRow = 0xffffffffu;
+
+/** Row @p row names with kMaskRow bound to @p mask_row. */
+inline uint32_t
+bindMask(uint32_t row, uint32_t mask_row)
+{
+    if (row != kMaskRow)
+        return row;
+    C2M_ASSERT(mask_row != kMaskRow,
+               "program reads the mask row but none is bound");
+    return mask_row;
+}
 
 /** One row operand. */
 struct RowRef

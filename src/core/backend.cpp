@@ -13,31 +13,35 @@ namespace core {
 void
 runCheckedOnSubarray(cim::AmbitSubarray &sub,
                      const uprog::CheckedProgram &prog,
-                     size_t num_cols, unsigned max_retries,
-                     EngineStats &stats)
+                     unsigned mask_row, size_t num_cols,
+                     unsigned max_retries, EngineStats &stats)
 {
+    // FR checks name the mask by the same sentinel as the program.
+    const auto read = [&](unsigned row) -> const BitVector & {
+        return sub.hostReadRow(cim::bindMask(row, mask_row));
+    };
     for (const auto &block : prog.blocks) {
         unsigned attempt = 0;
         for (;;) {
-            sub.run(block.prog);
+            sub.run(block.prog, mask_row);
             if (block.checks.empty())
                 break;
 
             bool mismatch = false;
             for (const auto &chk : block.checks) {
                 ++stats.checksRun;
-                const BitVector &fr = sub.hostReadRow(chk.frRow);
+                const BitVector &fr = read(chk.frRow);
                 if (chk.mode == uprog::FrCheck::Mode::EqualRows) {
-                    if (fr != sub.hostReadRow(chk.rowA))
+                    if (fr != read(chk.rowA))
                         mismatch = true;
                     continue;
                 }
                 BitVector a(num_cols);
-                a.copyFrom(sub.hostReadRow(chk.rowA));
+                a.copyFrom(read(chk.rowA));
                 if (chk.aNeg)
                     a.invert();
                 BitVector b(num_cols);
-                b.copyFrom(sub.hostReadRow(chk.rowB));
+                b.copyFrom(read(chk.rowB));
                 if (chk.bNeg)
                     b.invert();
                 BitVector expect(num_cols);

@@ -27,9 +27,10 @@
  * supports; the engine asserts them before use, so unsupported
  * configurations fail loudly at construction rather than silently
  * miscounting. Executed programs are replayed from a per-backend
- * ProgramCache keyed by (op, physical group, digit, k, mask row) —
- * RCA adds by (physical group, W-bit addend, mask row) instead;
- * hit/miss counts surface in EngineStats.
+ * ProgramCache keyed by (op, physical group, digit, k) — RCA adds by
+ * (physical group, W-bit addend) instead; the mask row is bound when
+ * a program runs, so one entry serves every mask. Hit/miss counts
+ * surface in EngineStats.
  */
 
 #include <array>
@@ -53,16 +54,19 @@ struct CheckedProgram;
 namespace core {
 
 /**
- * Execute a CheckedProgram on a DRAM fabric: run each block, evaluate
- * its FR checks (XorOfRows or EqualRows), and re-execute on mismatch
- * up to @p max_retries times. Check/fault/retry counts accumulate
- * into @p stats — the one retry policy shared by every DRAM-fabric
- * backend so EngineStats means the same thing across them.
+ * Execute a CheckedProgram on a DRAM fabric under mask row
+ * @p mask_row (cim::kMaskRow when the program takes no mask): run
+ * each block with the mask bound, evaluate its FR checks (XorOfRows
+ * or EqualRows, reading the bound row for a kMaskRow operand), and
+ * re-execute on mismatch up to @p max_retries times.
+ * Check/fault/retry counts accumulate into @p stats — the one retry
+ * policy shared by every DRAM-fabric backend so EngineStats means
+ * the same thing across them.
  */
 void runCheckedOnSubarray(cim::AmbitSubarray &sub,
                           const uprog::CheckedProgram &prog,
-                          size_t num_cols, unsigned max_retries,
-                          EngineStats &stats);
+                          unsigned mask_row, size_t num_cols,
+                          unsigned max_retries, EngineStats &stats);
 
 /** What a counting substrate can do; asserted by the engine. */
 struct BackendCaps
@@ -112,8 +116,10 @@ class CountingBackend
 
     /**
      * Masked k-ary increment of @p digit on physical group @p phys;
-     * counters whose bit in @p mask_row is 0 are unchanged. Protected
-     * backends run the checked program with retry internally.
+     * counters whose bit in @p mask_row is 0 are unchanged. The
+     * cached (digit, k) program runs with its mask operand bound to
+     * @p mask_row. Protected backends run the checked program with
+     * retry internally.
      */
     virtual void karyIncrement(unsigned phys, unsigned digit,
                                unsigned k, unsigned mask_row) = 0;

@@ -88,10 +88,11 @@ AmbitBackend::writeMask(unsigned handle, const BitVector &row)
 }
 
 void
-AmbitBackend::runChecked(const uprog::CheckedProgram &prog)
+AmbitBackend::runChecked(const uprog::CheckedProgram &prog,
+                         unsigned mask_row)
 {
-    runCheckedOnSubarray(sub_, prog, numCounters_, maxRetries_,
-                         stats_);
+    runCheckedOnSubarray(sub_, prog, mask_row, numCounters_,
+                         maxRetries_, stats_);
 }
 
 void
@@ -100,10 +101,10 @@ AmbitBackend::karyIncrement(unsigned phys, unsigned digit, unsigned k,
 {
     const ProgramKey key{ProgramKey::Op::Increment, phys,
                          static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row};
+                         static_cast<uint16_t>(k)};
     runChecked(cache_.get(key, [&] {
-        return codegen_[phys].karyIncrement(digit, k, mask_row);
-    }));
+        return codegen_[phys].karyIncrement(digit, k);
+    }), mask_row);
 }
 
 void
@@ -112,17 +113,17 @@ AmbitBackend::karyDecrement(unsigned phys, unsigned digit, unsigned k,
 {
     const ProgramKey key{ProgramKey::Op::Decrement, phys,
                          static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row};
+                         static_cast<uint16_t>(k)};
     runChecked(cache_.get(key, [&] {
-        return codegen_[phys].karyDecrement(digit, k, mask_row);
-    }));
+        return codegen_[phys].karyDecrement(digit, k);
+    }), mask_row);
 }
 
 void
 AmbitBackend::carryRipple(unsigned phys, unsigned digit)
 {
     const ProgramKey key{ProgramKey::Op::CarryRipple, phys,
-                         static_cast<uint16_t>(digit), 0, 0};
+                         static_cast<uint16_t>(digit)};
     runChecked(cache_.get(
         key, [&] { return codegen_[phys].carryRipple(digit); }));
 }
@@ -131,7 +132,7 @@ void
 AmbitBackend::borrowRipple(unsigned phys, unsigned digit)
 {
     const ProgramKey key{ProgramKey::Op::BorrowRipple, phys,
-                         static_cast<uint16_t>(digit), 0, 0};
+                         static_cast<uint16_t>(digit)};
     runChecked(cache_.get(
         key, [&] { return codegen_[phys].borrowRipple(digit); }));
 }

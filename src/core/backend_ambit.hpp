@@ -71,7 +71,9 @@ class AmbitBackend final : public CountingBackend
     cim::AmbitSubarray &subarray() { return sub_; }
 
   private:
-    void runChecked(const uprog::CheckedProgram &prog);
+    /** Checked execution with kMaskRow bound to @p mask_row. */
+    void runChecked(const uprog::CheckedProgram &prog,
+                    unsigned mask_row = cim::kMaskRow);
     void voteRows(const std::vector<unsigned> &rows);
 
     size_t numCounters_;

@@ -75,10 +75,10 @@ NvmBackend::karyIncrement(unsigned phys, unsigned digit, unsigned k,
 {
     const ProgramKey key{ProgramKey::Op::Increment, phys,
                          static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row};
+                         static_cast<uint16_t>(k)};
     mach_.run(cache_.get(key, [&] {
-        return codegen_[phys].karyIncrement(digit, k, mask_row);
-    }));
+        return codegen_[phys].karyIncrement(digit, k);
+    }), mask_row);
 }
 
 void
@@ -87,17 +87,17 @@ NvmBackend::karyDecrement(unsigned phys, unsigned digit, unsigned k,
 {
     const ProgramKey key{ProgramKey::Op::Decrement, phys,
                          static_cast<uint16_t>(digit),
-                         static_cast<uint16_t>(k), mask_row};
+                         static_cast<uint16_t>(k)};
     mach_.run(cache_.get(key, [&] {
-        return codegen_[phys].karyDecrement(digit, k, mask_row);
-    }));
+        return codegen_[phys].karyDecrement(digit, k);
+    }), mask_row);
 }
 
 void
 NvmBackend::carryRipple(unsigned phys, unsigned digit)
 {
     const ProgramKey key{ProgramKey::Op::CarryRipple, phys,
-                         static_cast<uint16_t>(digit), 0, 0};
+                         static_cast<uint16_t>(digit)};
     mach_.run(cache_.get(
         key, [&] { return codegen_[phys].carryRipple(digit); }));
 }
@@ -106,7 +106,7 @@ void
 NvmBackend::borrowRipple(unsigned phys, unsigned digit)
 {
     const ProgramKey key{ProgramKey::Op::BorrowRipple, phys,
-                         static_cast<uint16_t>(digit), 0, 0};
+                         static_cast<uint16_t>(digit)};
     mach_.run(cache_.get(
         key, [&] { return codegen_[phys].borrowRipple(digit); }));
 }

@@ -98,21 +98,21 @@ RcaBackend::writeMask(unsigned handle, const BitVector &row)
 }
 
 void
-RcaBackend::runChecked(const uprog::CheckedProgram &prog)
+RcaBackend::runChecked(const uprog::CheckedProgram &prog,
+                       unsigned mask_row)
 {
-    runCheckedOnSubarray(sub_, prog, numCounters_, maxRetries_,
-                         stats_);
+    runCheckedOnSubarray(sub_, prog, mask_row, numCounters_,
+                         maxRetries_, stats_);
 }
 
 void
 RcaBackend::addValue(unsigned phys, uint64_t addend, unsigned mask_row)
 {
     addend &= widthMask_;
-    runChecked(cache_.get(
-        ProgramKey{ProgramKey::Op::Add, phys, 0, 0, mask_row, addend},
-        [&] {
-            return codegen_[phys].maskedAccumulate(addend, mask_row);
-        }));
+    const ProgramKey key{ProgramKey::Op::Add, phys, 0, 0, addend};
+    runChecked(cache_.get(key, [&] {
+        return codegen_[phys].maskedAccumulate(addend);
+    }), mask_row);
 }
 
 void

@@ -75,7 +75,9 @@ class RcaBackend final : public CountingBackend
     cim::AmbitSubarray &subarray() { return sub_; }
 
   private:
-    void runChecked(const uprog::CheckedProgram &prog);
+    /** Checked execution with kMaskRow bound to @p mask_row. */
+    void runChecked(const uprog::CheckedProgram &prog,
+                    unsigned mask_row = cim::kMaskRow);
     std::vector<uint64_t> readRaw(unsigned phys);
 
     size_t numCounters_;

@@ -72,9 +72,10 @@ struct EngineConfig
     uint64_t seed = 1;
     BackendKind backend = BackendKind::Ambit;
     /**
-     * Cache generated muPrograms per (op, digit, k, mask row) and
-     * replay them, removing the fixed codegen cost from the batch hot
-     * path. Replayed programs are bit-identical to regeneration.
+     * Cache generated muPrograms per (op, group, digit, k) and replay
+     * them under whichever mask row a call binds, removing the fixed
+     * codegen cost from the batch hot path. Replayed programs are
+     * bit-identical to regeneration.
      */
     bool programCache = true;
     /**

@@ -27,12 +27,10 @@ C2mCostModel::C2mCostModel(unsigned radix, unsigned capacity_bits,
     opts.frChecks = fr_checks;
     uprog::AmbitCodegen gen(layout, opts);
 
-    // Measure the exact command counts the generator emits. A mask
-    // row index is needed only for addressing, not for counting.
-    const unsigned mask_row = layout.endRow();
+    // Measure the exact command counts the generator emits.
     opsByK_.assign(radix, 0);
     for (unsigned k = 1; k < radix; ++k)
-        opsByK_[k] = gen.karyIncrement(0, k, mask_row).totalOps();
+        opsByK_[k] = gen.karyIncrement(0, k).totalOps();
     rippleOps_ = gen.carryRipple(0).totalOps();
 }
 
@@ -118,8 +116,7 @@ RcaCostModel::RcaCostModel(unsigned width, bool protect)
     uprog::RcaCodegen::Options opts;
     opts.protect = protect;
     uprog::RcaCodegen gen(layout, opts);
-    accumulateOps_ =
-        gen.maskedAccumulate(0, layout.endRow()).totalOps();
+    accumulateOps_ = gen.maskedAccumulate(0).totalOps();
 }
 
 } // namespace core

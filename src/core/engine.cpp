@@ -280,7 +280,8 @@ void
 C2MEngine::executePlan(std::span<const MaskedStep> steps,
                        std::span<const PlanRipple> pre,
                        std::span<const PlanRipple> post,
-                       unsigned group, uint64_t folded_ops)
+                       unsigned group, unsigned plane_handle,
+                       uint64_t folded_ops)
 {
     ++stats_.plansExecuted;
     stats_.plannedOps += folded_ops;
@@ -304,16 +305,16 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
     for (const auto &r : pre)
         gangRipple(r);
 
+    const unsigned plane_row = maskRowIndex(plane_handle);
     for (const auto &s : steps) {
         {
             // Mask rows hold per-shard plane slices, so the write is
             // never ganged: MaskWrite stays honestly per shard.
             cim::AttrScope mrow(fab, cim::FabricCat::MaskWrite);
-            backend_->writeMask(s.maskHandle, *s.mask);
+            backend_->writeMask(plane_handle, *s.mask);
         }
         if (s.lead) {
-            incrementDigit(group, s.digit, s.k,
-                           maskRowIndex(s.maskHandle));
+            incrementDigit(group, s.digit, s.k, plane_row);
             ++stats_.planLeadPrograms;
         } else {
             // Follower slice: the identical command stream executes
@@ -322,8 +323,7 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
             // retry is modeled as re-running in later gang slots.
             cim::AttrScope fan(fab, cim::FabricCat::PlanFanout);
             const uint64_t c0 = fab.commands();
-            incrementDigit(group, s.digit, s.k,
-                           maskRowIndex(s.maskHandle));
+            incrementDigit(group, s.digit, s.k, plane_row);
             fab.gangedCommands += fab.commands() - c0;
         }
         ++stats_.planPrograms;

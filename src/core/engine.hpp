@@ -15,7 +15,9 @@
  * baseline instead takes each input as one whole-value W-bit add,
  * zeros included (CountingBackend::addValue) — and relies on
  * the backend's checked execution (check-and-retry, in-fabric voting)
- * when protection is enabled (Sec. 6). Which protection and tensor
+ * when protection is enabled (Sec. 6). A muProgram is fixed per
+ * (digit, k); the input's mask row is bound when it runs, so every
+ * row of Z replays the same cached programs. Which protection and tensor
  * features a substrate offers is advertised through BackendCaps and
  * asserted at configuration time.
  *
@@ -44,19 +46,18 @@ namespace core {
 
 /**
  * One column-parallel step of a drain plan: add @p k to digit
- * @p digit of every counter whose bit in mask row @p maskHandle is
- * set. The mask is borrowed, not owned — planners keep a reusable
- * pool of plane masks and hand out pointers for the duration of one
- * planPrepare/executePlan pair. Each step carries its own mask handle so
- * planes can live in persistent per-plane rows: plane (digit, k)
- * always lands in the same row index, keeping its cached increment
- * program's key stable across epochs.
+ * @p digit of every counter whose bit in @p mask is set. The mask is
+ * borrowed, not owned — planners keep a reusable pool of plane masks
+ * and hand out pointers for the duration of one
+ * planPrepare/executePlan pair. executePlan writes each step's mask
+ * into one plane-mask row before issuing its increment; the cached
+ * increment program takes the row as its bound mask operand, so its
+ * key depends only on (digit, k).
  */
 struct MaskedStep
 {
     unsigned digit;
     unsigned k; ///< 1..radix-1
-    unsigned maskHandle;
     const BitVector *mask;
     /**
      * Gang-issue role in a merged cross-shard plan: the lead shard of
@@ -183,8 +184,9 @@ class C2MEngine
 
     /**
      * Fabric half of a prepared plan: broadcast the @p pre ripples,
-     * write each step's plane mask into its persistent row and issue
-     * the masked increments, then the @p post full-ripple pass.
+     * write each step's plane mask into mask row @p plane_handle and
+     * issue the masked increment under it, then the @p post
+     * full-ripple pass.
      * Lead ripples/steps charge FabricCat::Plan (mask writes
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
@@ -196,7 +198,7 @@ class C2MEngine
     void executePlan(std::span<const MaskedStep> steps,
                      std::span<const PlanRipple> pre,
                      std::span<const PlanRipple> post, unsigned group,
-                     uint64_t folded_ops);
+                     unsigned plane_handle, uint64_t folded_ops);
 
     /**
      * True once the group has seen a decrement: pending flags are

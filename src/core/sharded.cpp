@@ -99,30 +99,8 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
     C2M_ASSERT(cfg.numCounters >= num_shards,
                "fewer counters than shards");
 
-    // Persistent plane-row pool: one spare mask row per (digit, k)
-    // plane so plan programs keep stable (op, digit, k, mask row)
-    // cache keys across epochs; deep-capacity overflow planes share
-    // kPlaneShared.
-    const bool planned =
-        cfg.drainPlanner && cfg.counting == CountMode::Kary;
-    if (planned) {
-        const unsigned digits =
-            jc::digitsForCapacityBits(cfg.radix, cfg.capacityBits) +
-            1;
-        planePool_ = std::min<unsigned>(digits * (cfg.radix - 1),
-                                        kMaxPlaneRows);
+    if (cfg.drainPlanner && cfg.counting == CountMode::Kary)
         planIncNs_ = planIncrementNs(cfg);
-    }
-    reservedMasks_ = kPlaneBase + planePool_;
-    // The reserved handles are ADDITIVE on top of the public budget
-    // (each shard is configured with cfg.maxMaskRows + reservedMasks_
-    // rows below): a workload config with maxMaskRows as low as 1
-    // (dna, sparsity) still gets its full public row count, and the
-    // planner keeps its point/plane rows regardless of how small the
-    // public budget is. Guard the plane pool so a refactor of the
-    // reservation scheme cannot silently starve the plan path.
-    C2M_ASSERT(!planned || planePool_ > 0,
-               "drain planner reserved no plane rows");
 
     const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
                      cfg.backend == BackendKind::NvmMagic;
@@ -134,12 +112,13 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
         EngineConfig scfg = cfg;
         scfg.numCounters = shardWidth(s);
         scfg.seed = splitMix64(seed_state);
-        // Handles [0, reservedMasks_) are internal: the routed point
-        // mask, the shared overflow plane row, and the persistent
-        // per-plane pool.
-        scfg.maxMaskRows = cfg.maxMaskRows + reservedMasks_;
+        // Handles [0, kReservedMasks) are internal (the point mask
+        // and the plane mask) and come on top of the public budget,
+        // so a config with maxMaskRows as low as 1 keeps its full
+        // public row count.
+        scfg.maxMaskRows = cfg.maxMaskRows + kReservedMasks;
         shards_.push_back(std::make_unique<C2MEngine>(scfg));
-        for (unsigned h = 0; h < reservedMasks_; ++h)
+        for (unsigned h = 0; h < kReservedMasks; ++h)
             shards_.back()->addMask(
                 std::vector<uint8_t>(shardWidth(s), 0));
         scratch_[s].pointMask = BitVector(shardWidth(s));
@@ -192,11 +171,11 @@ ShardedEngine::setMask(unsigned handle,
         for (size_t c = 0; c < slice.size() && lo + c < mask.size();
              ++c)
             slice[c] = mask[lo + c];
-        // Shard handles 0..reservedMasks_-1 are internal (point and
-        // plane masks), so logical handle h lives at shard handle
-        // h + reservedMasks_.
-        if (handle + reservedMasks_ < eng.numMasks())
-            eng.setMask(handle + reservedMasks_, slice);
+        // Shard handles below kReservedMasks are internal (point
+        // and plane masks), so logical handle h lives at shard
+        // handle h + kReservedMasks.
+        if (handle + kReservedMasks < eng.numMasks())
+            eng.setMask(handle + kReservedMasks, slice);
         else
             eng.addMask(slice);
     });
@@ -497,19 +476,17 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                 static_cast<uint64_t>(std::llround(plan_ns)),
                 static_cast<uint64_t>(std::llround(fallback_ns)));
         // Slice the merged plan back: deterministic plane order
-        // (ascending digit, k) per shard; each plane lands in its
-        // persistent mask row so its cached program key is stable
-        // across epochs. IARM preparation uses each shard's OWN
-        // worst profile, so scheduler state — and therefore every
-        // ripple — is bit-identical to independent per-shard plans.
+        // (ascending digit, k) per shard. IARM preparation uses each
+        // shard's OWN worst profile, so scheduler state — and
+        // therefore every ripple — is bit-identical to independent
+        // per-shard plans.
         for (auto &[s, p] : cand) {
             std::sort(p->touched.begin(), p->touched.end());
             for (const uint32_t idx : p->touched)
                 p->steps.push_back(
                     {static_cast<unsigned>(idx / (R - 1)),
                      static_cast<unsigned>(idx % (R - 1)) + 1,
-                     planeHandle(idx), &p->planes[idx],
-                     plane_lead[idx] == s});
+                     &p->planes[idx], plane_lead[idx] == s});
             shards_[s]->planPrepare(p->steps, g, p->pre, p->post);
         }
         // Gang the scheduled ripples per (digit, occurrence): the
@@ -554,7 +531,7 @@ ShardedEngine::execShardParts(unsigned s)
         PlanPart &p = sc.parts[i];
         if (p.planned) {
             eng.executePlan(p.steps, p.pre, p.post, p.group,
-                            p.ops.size());
+                            kPlaneMask, p.ops.size());
         } else {
             // Demoted or ineligible parts replay per-op; with the
             // planner on they count as fallback so plannedOps +
@@ -647,7 +624,7 @@ ShardedEngine::accumulate(uint64_t value, unsigned mask_handle,
     C2M_ASSERT(mask_handle < numMasks_, "unknown mask handle ",
                mask_handle);
     runShards(allShards_, [&](C2MEngine &eng, unsigned) {
-        eng.accumulate(value, mask_handle + reservedMasks_, group);
+        eng.accumulate(value, mask_handle + kReservedMasks, group);
     });
 }
 
@@ -658,7 +635,7 @@ ShardedEngine::accumulateSigned(int64_t value, unsigned mask_handle,
     C2M_ASSERT(mask_handle < numMasks_, "unknown mask handle ",
                mask_handle);
     runShards(allShards_, [&](C2MEngine &eng, unsigned) {
-        eng.accumulateSigned(value, mask_handle + reservedMasks_,
+        eng.accumulateSigned(value, mask_handle + kReservedMasks,
                              group);
     });
 }

@@ -39,9 +39,10 @@
  * delta has digit k at position d. Each plane costs a single masked
  * karyIncrement, so a bucket of N ops executes in at most D*(R-1)
  * column-parallel fabric programs per group (Fig. 15) instead of N
- * whole-row program sequences. Each plane lives in a persistent
- * reserved mask row of its own, so cached increment programs keep
- * stable keys and replay across epochs. Signed-mode groups, buckets
+ * whole-row program sequences. Every plane is written through one
+ * reserved plane-mask row per shard; cached increment programs bind
+ * that row when they run, so their keys depend only on (digit, k)
+ * and replay across planes and epochs. Signed-mode groups, buckets
  * containing negative deltas, Unit counting, and buckets whose
  * modeled fabric cost (C2mCostModel command counts priced by
  * DramTimings) does not beat per-op replay fall back to the serial
@@ -68,8 +69,8 @@
  *      with the same per-shard worst profiles independent plans
  *      would use, so scheduler state is bit-identical either way;
  *   4. execute — per shard (parallel): each shard writes its own
- *      plane-mask slices (never ganged) and executes its slice of
- *      the merged plan.
+ *      plane-mask slices into its plane row (never ganged) and
+ *      executes its slice of the merged plan.
  *
  * Ganged follower commands ride the leader's rank-window slots, so
  * stats() excludes them from the tFAW/tRRD rank floor: plan fabric
@@ -229,17 +230,16 @@ class ShardedEngine
     /** Scrub sweeps of due shards run through runShards. */
     friend class reliability::Scrubber;
 
-    /** Internal mask handle reserved per shard for point updates. */
-    static constexpr unsigned kPointMask = 0;
     /**
-     * Shared overflow row for digit planes beyond the persistent
-     * pool (deep-capacity configs only).
+     * Internal mask handle reserved per shard for point updates; kept
+     * apart from the plane row so runShardSerial can skip rewriting
+     * it while the target column is unchanged.
      */
-    static constexpr unsigned kPlaneShared = 1;
-    /** First handle of the persistent per-plane mask rows. */
-    static constexpr unsigned kPlaneBase = 2;
-    /** Upper bound on the persistent plane-row pool per shard. */
-    static constexpr unsigned kMaxPlaneRows = 64;
+    static constexpr unsigned kPointMask = 0;
+    /** Internal mask handle every digit plane is written through. */
+    static constexpr unsigned kPlaneMask = 1;
+    /** Shard mask handles below this are internal. */
+    static constexpr unsigned kReservedMasks = 2;
 
     /**
      * One group's slice of a shard bucket, carried through the epoch
@@ -339,14 +339,6 @@ class ShardedEngine
         std::span<const unsigned> shards,
         const std::function<void(C2MEngine &, unsigned)> &fn);
 
-    /** Persistent mask-row handle of plane index @p idx. */
-    unsigned planeHandle(size_t idx) const
-    {
-        return idx < planePool_
-                   ? kPlaneBase + static_cast<unsigned>(idx)
-                   : kPlaneShared;
-    }
-
     EngineConfig cfg_;
     std::vector<size_t> starts_; ///< numShards+1 range boundaries
     std::vector<std::unique_ptr<C2MEngine>> shards_;
@@ -354,10 +346,6 @@ class ShardedEngine
     /** Single-writer flag per shard (see ShardGuard in sharded.cpp). */
     std::unique_ptr<std::atomic<bool>[]> shardBusy_;
     unsigned numMasks_ = 0;
-    /** Shard-internal handles reserved below the public ones. */
-    unsigned reservedMasks_ = 0;
-    /** Persistent plane rows per shard (D*(R-1), capped). */
-    unsigned planePool_ = 0;
     /**
      * Modeled ns of one masked k-ary increment program, indexed by
      * k (entry 0 unused): C2mCostModel command counts (RcaCostModel

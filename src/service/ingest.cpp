@@ -15,8 +15,7 @@ IngestService::IngestService(core::ShardedEngine &engine,
 {
     C2M_ASSERT(cfg_.queueCapacity >= 1,
                "queueCapacity must be >= 1");
-    dynamicMinDrainOps_.store(std::max<size_t>(1, cfg_.minDrainOps),
-                              std::memory_order_relaxed);
+    C2M_ASSERT(cfg_.minDrainOps >= 1, "minDrainOps must be >= 1");
     lastShardEpoch_.assign(engine_.numShards(), 0);
     coalesceScratch_.resize(engine_.numShards());
     for (unsigned s = 0; s < engine_.numShards(); ++s)
@@ -81,7 +80,7 @@ IngestService::submit(std::span<const core::BatchOp> ops)
         queuedOps_.fetch_sub(ops.size() - accepted,
                              std::memory_order_relaxed);
     if (accepted > 0 && queuedOps_.load(std::memory_order_relaxed) >=
-                            effectiveMinDrainOps()) {
+                            cfg_.minDrainOps) {
         std::lock_guard<std::mutex> lk(m_);
         drainCv_.notify_one();
     }
@@ -162,6 +161,11 @@ IngestService::readCounters(unsigned group)
 void
 IngestService::stop()
 {
+    // Close first: from here submit() accepts nothing, so the
+    // drainer's backlog can only shrink and it exits in bounded time
+    // even while producers keep submitting.
+    for (auto &q : queues_)
+        q->close();
     {
         std::lock_guard<std::mutex> lk(m_);
         stop_ = true;
@@ -171,31 +175,15 @@ IngestService::stop()
         drainer_.join();
     EpochObserver *observer;
     {
-        // The leftover-epoch + observer shutdown turn runs once;
-        // a second stop() (typically the destructor's) must not call
-        // back into an observer the caller may have destroyed. The
-        // observer pointer is snapshotted under m_ like report()'s.
+        // The observer shutdown turn runs once; a second stop()
+        // (typically the destructor's) must not call back into an
+        // observer the caller may have destroyed. The observer
+        // pointer is snapshotted under m_ like report()'s.
         std::lock_guard<std::mutex> lk(m_);
         if (stopFinalized_)
             return;
         stopFinalized_ = true;
         observer = observer_;
-    }
-    for (auto &q : queues_)
-        q->close();
-    // Ops accepted between the drainer's last epoch and close() run
-    // as one more epoch on this thread, so accepted work is never
-    // lost. A closed queue accepts nothing, so the sizes are exact.
-    bool leftover = false;
-    for (const auto &q : queues_)
-        leftover |= q->sizeApprox() > 0;
-    if (leftover) {
-        uint64_t epoch;
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            epoch = ++cutEpoch_;
-        }
-        runEpoch(epoch);
     }
     // Final observer turn: an attached scrubber must reconcile
     // everything it deferred (budgeted or interval-spaced sweeps)
@@ -266,24 +254,44 @@ IngestService::kick()
     drainCv_.notify_one();
 }
 
+bool
+IngestService::anyQueued() const
+{
+    for (const auto &q : queues_)
+        if (q->sizeApprox() > 0)
+            return true;
+    return false;
+}
+
 void
 IngestService::drainerLoop()
 {
     for (;;) {
-        uint64_t epoch;
+        bool stopping;
         {
             std::unique_lock<std::mutex> lk(m_);
             drainCv_.wait(lk, [&] {
                 return stop_ || forceDrain_ ||
                        flushTarget_ > cutEpoch_ ||
                        queuedOps_.load(std::memory_order_relaxed) >=
-                           effectiveMinDrainOps();
+                           cfg_.minDrainOps;
             });
-            const bool work_left =
-                flushTarget_ > cutEpoch_ ||
-                queuedOps_.load(std::memory_order_relaxed) > 0;
-            if (stop_ && !work_left)
+            stopping = stop_;
+        }
+        // stop() closed every queue before setting stop_, so their
+        // sizes are exact now and can only shrink. Exit on the
+        // queues, not on the queuedOps_ gauge, which briefly holds
+        // the pre-charges of submits the closed queues reject. The
+        // queue locks are taken outside m_: a producer holds its
+        // queue lock while kick() takes m_.
+        if (stopping && !anyQueued()) {
+            std::lock_guard<std::mutex> lk(m_);
+            if (flushTarget_ <= cutEpoch_)
                 break;
+        }
+        uint64_t epoch;
+        {
+            std::lock_guard<std::mutex> lk(m_);
             forceDrain_ = false;
             epoch = ++cutEpoch_;
         }
@@ -381,30 +389,6 @@ IngestService::runEpoch(uint64_t epoch)
         std::lock_guard<std::mutex> lk(m_);
         appliedEpoch_ = epoch;
         stats_ += es;
-        if (cfg_.targetEpochFabricNs > 0.0 && es.flushedOps > 0 &&
-            es.fabricNs > 0.0) {
-            // Fabric-time epoch sizing: fold this epoch's modeled
-            // per-op cost into the EWMA and retarget the coalescing
-            // window so the next epoch drains ~targetEpochFabricNs
-            // of fabric time. Capped at one queue's capacity so the
-            // window can always fill without producer stalls forcing
-            // the cut.
-            const double op_ns =
-                es.fabricNs / static_cast<double>(es.flushedOps);
-            ewmaOpNs_ = ewmaOpNs_ > 0.0
-                            ? 0.75 * ewmaOpNs_ + 0.25 * op_ns
-                            : op_ns;
-            double window = cfg_.targetEpochFabricNs / ewmaOpNs_;
-            if (window < 1.0)
-                window = 1.0;
-            const double cap =
-                static_cast<double>(cfg_.queueCapacity);
-            if (window > cap)
-                window = cap;
-            dynamicMinDrainOps_.store(
-                static_cast<size_t>(window),
-                std::memory_order_relaxed);
-        }
         recordDrainLatency(static_cast<uint64_t>(us));
         epochCv_.notify_all();
     }

@@ -79,16 +79,6 @@ struct IngestConfig
     size_t minDrainOps = 1;
     bool coalesce = true;
     Backpressure backpressure = Backpressure::Block;
-    /**
-     * Fabric-time epoch sizing: when > 0, the drainer adapts its
-     * coalescing window so one epoch executes about this much modeled
-     * fabric time (EngineStats fabric ns, see docs/perf.md). An EWMA
-     * of the observed per-op fabric cost converts the target into an
-     * op-count window after each epoch; minDrainOps seeds the window
-     * until the first sample lands. flush(), stop() and full queues
-     * still cut immediately.
-     */
-    double targetEpochFabricNs = 0.0;
 };
 
 /**
@@ -235,25 +225,17 @@ class IngestService
     std::vector<int64_t> readCounters(unsigned group = 0);
 
     /**
-     * Drain every queued op and join the drainer (idempotent; the
-     * destructor calls it). Ops accepted before the queues close are
-     * never lost: if any are still queued once the drainer has
-     * joined, stop() runs them as one more ordinary epoch on the
-     * calling thread — it advances the epoch counter, and an
-     * attached observer sees onEpochApplied for it before onStop.
-     * Ops submitted after stop() closes the queues are rejected.
+     * Close every queue, drain what they hold and join the drainer
+     * (idempotent; the destructor calls it). stop() returns even
+     * while producers keep submitting: once the queues are closed,
+     * submit() rejects new ops, and the drainer runs ordinary epochs
+     * until the queues are empty and no flush token is outstanding.
+     * Every op accepted before the close is applied. An attached
+     * observer then gets onStop.
      */
     void stop();
 
     ServiceStats serviceStats() const;
-    /**
-     * Current coalescing window in ops: minDrainOps, or the adapted
-     * window when targetEpochFabricNs is set.
-     */
-    size_t effectiveMinDrainOps() const
-    {
-        return dynamicMinDrainOps_.load(std::memory_order_relaxed);
-    }
     /** Engine stats, read race-free against the drainer. */
     core::EngineStats engineStats() const;
     /**
@@ -281,6 +263,8 @@ class IngestService
     };
 
     void drainerLoop();
+    /** True iff some shard queue holds ops (queue locks, not m_). */
+    bool anyQueued() const;
     /** Cut + coalesce + execute one epoch; returns ops cut. */
     size_t runEpoch(uint64_t epoch);
     void executeEpoch(uint64_t epoch, std::vector<Bucket> &buckets,
@@ -308,10 +292,6 @@ class IngestService
     bool stop_ = false;         ///< guarded by m_
     bool stopFinalized_ = false; ///< stop() ran once (guarded by m_)
     ServiceStats stats_;        ///< epoch-side sums (guarded by m_)
-    /** Coalescing window in ops; adapted by fabric-time sizing. */
-    std::atomic<size_t> dynamicMinDrainOps_{1};
-    /** EWMA of modeled fabric ns per flushed op (guarded by m_). */
-    double ewmaOpNs_ = 0.0;
 
     /**
      * Per-epoch drain latency distribution in us: a log-bucketed
@@ -323,9 +303,9 @@ class IngestService
     /** Serializes epoch execution against snapshot reads. */
     mutable std::mutex engineMutex_;
     /**
-     * Epoch-side state, touched by the drainer thread or by stop()
-     * after the drainer joined: last epoch executed per shard (FIFO
-     * assert) and per-shard write-combining coalesce tables.
+     * Epoch-side state, touched only by the drainer thread: last
+     * epoch executed per shard (FIFO assert) and per-shard
+     * write-combining coalesce tables.
      */
     std::vector<uint64_t> lastShardEpoch_;
     std::vector<core::CoalesceScratch> coalesceScratch_;

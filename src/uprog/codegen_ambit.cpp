@@ -320,8 +320,8 @@ AmbitCodegen::shiftedUpdate(unsigned digit, unsigned eff_k,
 }
 
 CheckedProgram
-AmbitCodegen::karyIncrement(unsigned digit, unsigned k,
-                            unsigned mask_row) const
+AmbitCodegen::increment(unsigned digit, unsigned k,
+                        unsigned mask_row) const
 {
     const unsigned n = layout_.bitsPerDigit();
     C2M_ASSERT(k >= 1 && k < 2 * n, "increment step ", k,
@@ -343,8 +343,8 @@ AmbitCodegen::karyIncrement(unsigned digit, unsigned k,
 }
 
 CheckedProgram
-AmbitCodegen::karyDecrement(unsigned digit, unsigned k,
-                            unsigned mask_row) const
+AmbitCodegen::decrement(unsigned digit, unsigned k,
+                        unsigned mask_row) const
 {
     const unsigned n = layout_.bitsPerDigit();
     C2M_ASSERT(k >= 1 && k < 2 * n, "decrement step ", k,
@@ -374,7 +374,7 @@ AmbitCodegen::carryRipple(unsigned digit) const
     C2M_ASSERT(digit + 1 < layout_.numDigits(),
                "carry ripple out of the top digit");
     CheckedProgram cp =
-        karyIncrement(digit + 1, 1, layout_.onextRow(digit));
+        increment(digit + 1, 1, layout_.onextRow(digit));
     AmbitProgram clear;
     clear.aap(RowRef::c0(), d(layout_.onextRow(digit)));
     cp.appendUnchecked(clear);
@@ -387,7 +387,7 @@ AmbitCodegen::borrowRipple(unsigned digit) const
     C2M_ASSERT(digit + 1 < layout_.numDigits(),
                "borrow ripple out of the top digit");
     CheckedProgram cp =
-        karyDecrement(digit + 1, 1, layout_.onextRow(digit));
+        decrement(digit + 1, 1, layout_.onextRow(digit));
     AmbitProgram clear;
     clear.aap(RowRef::c0(), d(layout_.onextRow(digit)));
     cp.appendUnchecked(clear);

@@ -53,15 +53,20 @@ class AmbitCodegen
 
     /**
      * Masked k-ary increment of digit @p digit by @p k (1..2n-1);
-     * counters whose bit in @p mask_row is 0 are unchanged. Wraps are
-     * OR-ed into the digit's Onext row (Alg. 1).
+     * counters whose bit in the mask row is 0 are unchanged. Wraps
+     * are OR-ed into the digit's Onext row (Alg. 1). The mask is the
+     * cim::kMaskRow operand, bound when the program runs.
      */
-    CheckedProgram karyIncrement(unsigned digit, unsigned k,
-                                 unsigned mask_row) const;
+    CheckedProgram karyIncrement(unsigned digit, unsigned k) const
+    {
+        return increment(digit, k, cim::kMaskRow);
+    }
 
     /** Masked k-ary decrement; borrows are OR-ed into Onext. */
-    CheckedProgram karyDecrement(unsigned digit, unsigned k,
-                                 unsigned mask_row) const;
+    CheckedProgram karyDecrement(unsigned digit, unsigned k) const
+    {
+        return decrement(digit, k, cim::kMaskRow);
+    }
 
     /**
      * Deferred carry ripple (Sec. 4.5.2): unit-increment digit+1
@@ -142,6 +147,15 @@ class AmbitCodegen
     /** Shared body of increment/decrement (shift by eff_k). */
     CheckedProgram shiftedUpdate(unsigned digit, unsigned eff_k,
                                  unsigned mask_row) const;
+
+    /**
+     * karyIncrement/karyDecrement under mask row @p mask_row: the
+     * sentinel for counting steps, Onext(digit-1) for ripples.
+     */
+    CheckedProgram increment(unsigned digit, unsigned k,
+                             unsigned mask_row) const;
+    CheckedProgram decrement(unsigned digit, unsigned k,
+                             unsigned mask_row) const;
 
     jc::CounterLayout layout_;
     CodegenOptions opts_;

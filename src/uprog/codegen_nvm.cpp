@@ -131,8 +131,8 @@ NvmCodegen::emitShiftedUpdate(NvmProgram &p, unsigned digit,
 }
 
 cim::NvmProgram
-NvmCodegen::karyIncrement(unsigned digit, unsigned k,
-                          unsigned mask_row) const
+NvmCodegen::increment(unsigned digit, unsigned k,
+                      unsigned mask_row) const
 {
     const unsigned n = layout_.bitsPerDigit();
     C2M_ASSERT(k >= 1 && k < 2 * n, "increment step out of range");
@@ -153,8 +153,8 @@ NvmCodegen::karyIncrement(unsigned digit, unsigned k,
 }
 
 cim::NvmProgram
-NvmCodegen::karyDecrement(unsigned digit, unsigned k,
-                          unsigned mask_row) const
+NvmCodegen::decrement(unsigned digit, unsigned k,
+                      unsigned mask_row) const
 {
     const unsigned n = layout_.bitsPerDigit();
     C2M_ASSERT(k >= 1 && k < 2 * n, "decrement step out of range");
@@ -184,8 +184,7 @@ NvmCodegen::carryRipple(unsigned digit) const
 {
     C2M_ASSERT(digit + 1 < layout_.numDigits(),
                "carry ripple out of the top digit");
-    NvmProgram p =
-        karyIncrement(digit + 1, 1, layout_.onextRow(digit));
+    NvmProgram p = increment(digit + 1, 1, layout_.onextRow(digit));
     // Clear the consumed Onext: AND with constant zero (Pinatubo) or
     // NOR with all-ones scratch (MAGIC); both modeled as one op via
     // NOR(x, ~x) = 0 trick to stay within the available op set.
@@ -198,8 +197,7 @@ NvmCodegen::borrowRipple(unsigned digit) const
 {
     C2M_ASSERT(digit + 1 < layout_.numDigits(),
                "borrow ripple out of the top digit");
-    NvmProgram p =
-        karyDecrement(digit + 1, 1, layout_.onextRow(digit));
+    NvmProgram p = decrement(digit + 1, 1, layout_.onextRow(digit));
     emitClearRow(p, layout_.onextRow(digit));
     return p;
 }

@@ -28,13 +28,20 @@ class NvmCodegen
     const jc::CounterLayout &layout() const { return layout_; }
     cim::NvmTech tech() const { return tech_; }
 
-    /** Masked k-ary increment of a digit, overflow into Onext. */
-    cim::NvmProgram karyIncrement(unsigned digit, unsigned k,
-                                  unsigned mask_row) const;
+    /**
+     * Masked k-ary increment of a digit, overflow into Onext; the
+     * mask is the cim::kMaskRow operand, bound when the program runs.
+     */
+    cim::NvmProgram karyIncrement(unsigned digit, unsigned k) const
+    {
+        return increment(digit, k, cim::kMaskRow);
+    }
 
     /** Masked k-ary decrement; borrows are OR-ed into Onext. */
-    cim::NvmProgram karyDecrement(unsigned digit, unsigned k,
-                                  unsigned mask_row) const;
+    cim::NvmProgram karyDecrement(unsigned digit, unsigned k) const
+    {
+        return decrement(digit, k, cim::kMaskRow);
+    }
 
     /** Carry ripple: unit-increment digit+1 masked by Onext(digit). */
     cim::NvmProgram carryRipple(unsigned digit) const;
@@ -49,6 +56,15 @@ class NvmCodegen
     cim::NvmProgram foldTopBorrowIntoSign() const;
 
   private:
+    /**
+     * karyIncrement/karyDecrement under mask row @p mask_row: the
+     * sentinel for counting steps, Onext(digit-1) for ripples.
+     */
+    cim::NvmProgram increment(unsigned digit, unsigned k,
+                              unsigned mask_row) const;
+    cim::NvmProgram decrement(unsigned digit, unsigned k,
+                              unsigned mask_row) const;
+
     /** JC state shift by @p eff_k under the mask (incr/decr body). */
     void emitShiftedUpdate(cim::NvmProgram &p, unsigned digit,
                            unsigned eff_k, unsigned mask_row,

@@ -28,8 +28,7 @@ RcaCodegen::RcaCodegen(RcaLayout layout, Options opts)
 
 void
 RcaCodegen::emitFullAdder(CheckedProgram &cp, unsigned bit,
-                          bool addend_bit, unsigned mask_row,
-                          unsigned carry_parity) const
+                          bool addend_bit, unsigned carry_parity) const
 {
     const unsigned a_row = layout_.bitRow(bit);
     const unsigned cin = layout_.carryRow(carry_parity);
@@ -38,7 +37,7 @@ RcaCodegen::emitFullAdder(CheckedProgram &cp, unsigned bit,
     // The addend row: the mask itself when bit b of x is 1 (adding m
     // adds 1 exactly where the mask is set), constant zero otherwise.
     auto addend = [&]() -> RowRef {
-        return addend_bit ? d(mask_row) : RowRef::c0();
+        return addend_bit ? d(cim::kMaskRow) : RowRef::c0();
     };
 
     if (!opts_.protect) {
@@ -109,7 +108,7 @@ RcaCodegen::emitFullAdder(CheckedProgram &cp, unsigned bit,
 }
 
 CheckedProgram
-RcaCodegen::maskedAccumulate(uint64_t addend, unsigned mask_row) const
+RcaCodegen::maskedAccumulate(uint64_t addend) const
 {
     if (layout_.width < 64)
         C2M_ASSERT(addend < (1ULL << layout_.width),
@@ -121,7 +120,7 @@ RcaCodegen::maskedAccumulate(uint64_t addend, unsigned mask_row) const
     cp.appendUnchecked(init);
 
     for (unsigned b = 0; b < layout_.width; ++b)
-        emitFullAdder(cp, b, (addend >> b) & 1, mask_row, b);
+        emitFullAdder(cp, b, (addend >> b) & 1, b);
     return cp;
 }
 

@@ -70,10 +70,10 @@ class RcaCodegen
 
     /**
      * acc[j] += addend for every column j with mask bit 1 (modulo
-     * 2^width). Ripples through all width bits.
+     * 2^width). Ripples through all width bits. The mask is the
+     * cim::kMaskRow operand, bound when the program runs.
      */
-    CheckedProgram maskedAccumulate(uint64_t addend,
-                                    unsigned mask_row) const;
+    CheckedProgram maskedAccumulate(uint64_t addend) const;
 
     /** Zero the accumulator and carry rows. */
     cim::AmbitProgram clearAccumulators() const;
@@ -83,8 +83,7 @@ class RcaCodegen
 
   private:
     void emitFullAdder(CheckedProgram &cp, unsigned bit,
-                       bool addend_bit, unsigned mask_row,
-                       unsigned carry_parity) const;
+                       bool addend_bit, unsigned carry_parity) const;
 
     RcaLayout layout_;
     Options opts_;

@@ -5,34 +5,26 @@
  * @file
  * Per-backend muProgram cache.
  *
- * Counting programs are pure functions of (operation, physical group,
- * digit, step k, mask row index) for a fixed layout and protection
+ * A counting program is a fixed command sequence for one step, as in
+ * the paper's muPrograms (Sec. 5.1): a pure function of (operation,
+ * physical group, digit, step k) for a fixed layout and protection
  * configuration — or, for the ripple-carry baseline's W-bit adds, of
- * (physical group, addend, mask row index), so a planned digit-plane
- * add and a whole-value add of the same addend share one entry. Each
- * backend generates a program once and replays it on every later
- * update with the same key. Programs reference rows
- * by index only — mask row *contents* may change freely between
- * replays (the point-update path rewrites its mask row constantly).
+ * (physical group, addend), so a planned digit-plane add and a
+ * whole-value add of the same addend share one entry. The mask is
+ * not part of the program: generators emit the cim::kMaskRow
+ * operand, and the backend binds it to the caller's mask row when
+ * the program runs. Each backend generates a program once and
+ * replays it under every mask.
  *
  * The cache is bounded by construction: the key space is
- * |ops| x groups x digits x radix x mask rows.
- *
- * The drain planner leans on the mask-row indirection: every digit
- * plane of every epoch writes its (constantly changing) mask into
- * ONE dedicated reserved row per shard, so all plane increments of a
- * physical group share the D x (R-1) keys of that single row index.
- * After the first epoch warms those entries, planned drains replay
- * entirely from the cache — the ~99% batch-path hit rate survives
- * column-parallel execution instead of being diluted by per-plane
- * mask rows.
- *
- * The hierarchical drain's gang issue preserves this: a merged plan
- * slices each union (digit, k) plane across shards, but every slice
- * targets the same row indices in its own shard (shards differ only
- * in column count), so leader and follower executions alike replay
- * the shard-local cached program — merging plans across shards never
- * introduces new keys.
+ * |ops| x groups x digits x radix (plus the distinct RCA addends),
+ * independent of how many mask rows the engine holds. Broadcast
+ * work over thousands of masks (a GEMV's rows of Z) and the drain
+ * planner's per-epoch digit planes, which all go through one plane
+ * mask row per shard, replay the same entries. Gang-issued plan
+ * slices execute the same shard-local programs in every shard
+ * (shards differ only in column count), so merging plans across
+ * shards never introduces new keys.
  */
 
 #include <cstdint>
@@ -54,16 +46,15 @@ struct ProgramKey
     };
 
     Op op = Op::Increment;
-    uint32_t phys = 0;    ///< physical counter group
+    uint32_t phys = 0;   ///< physical counter group
     uint16_t digit = 0;
-    uint16_t k = 0;       ///< step (0 for ripples)
-    uint32_t maskRow = 0; ///< raw row index (0 for ripples)
-    uint64_t addend = 0;  ///< W-bit addend (Op::Add only)
+    uint16_t k = 0;      ///< step (0 for ripples)
+    uint64_t addend = 0; ///< W-bit addend (Op::Add only)
 
     bool operator==(const ProgramKey &o) const
     {
         return op == o.op && phys == o.phys && digit == o.digit &&
-               k == o.k && maskRow == o.maskRow && addend == o.addend;
+               k == o.k && addend == o.addend;
     }
 };
 
@@ -76,7 +67,6 @@ struct ProgramKeyHash
                      (static_cast<uint64_t>(key.phys) << 36) ^
                      (static_cast<uint64_t>(key.digit) << 24) ^
                      (static_cast<uint64_t>(key.k) << 32) ^
-                     static_cast<uint64_t>(key.maskRow) ^
                      key.addend * 0x9e3779b97f4a7c15ULL;
         x ^= x >> 30;
         x *= 0xbf58476d1ce4e5b9ULL;

@@ -33,8 +33,8 @@
  *
  * Eviction is cost-normalized LRU: when a restore needs a frame and
  * none is free, the resident group maximizing idle-time divided by
- * its measured spill cost (modeled fabric ns, core::FabricCost
- * spine) is spilled. Backends without caps().rowScrub cannot spill;
+ * its measured spill cost (modeled fabric ns, the cim::OpStats
+ * fabricNs of EngineStats::fabric) is spilled. Backends without caps().rowScrub cannot spill;
  * groups beyond the fabric capacity then simply stay journaled
  * host-side (still exact, never resident).
  *

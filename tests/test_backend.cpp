@@ -56,6 +56,13 @@ altMask(size_t n, unsigned phase)
     return m;
 }
 
+/** Four distinct masks: the three altMask phases, then all ones. */
+std::vector<uint8_t>
+rotMask(size_t n, unsigned m)
+{
+    return m < 3 ? altMask(n, m) : std::vector<uint8_t>(n, 1);
+}
+
 } // namespace
 
 class BackendKindTest
@@ -144,31 +151,43 @@ TEST_P(BackendKindTest, GemvBinaryKernelRunsOnEveryBackend)
 
 TEST_P(BackendKindTest, CachedProgramsAreBitIdenticalToUncached)
 {
-    auto cached_cfg = baseConfig(GetParam());
-    cached_cfg.programCache = true;
-    auto uncached_cfg = baseConfig(GetParam());
-    uncached_cfg.programCache = false;
+    // Inputs rotate over the masks. A program binds its mask row when
+    // it runs, so the cache holds one entry per (op, digit, k) or
+    // addend whatever the number of masks: rotating over four masks
+    // misses exactly as often as one mask does.
+    struct Run
+    {
+        std::vector<int64_t> counters;
+        core::EngineStats stats;
+    };
+    const auto run = [&](bool cache, unsigned num_masks) {
+        auto cfg = baseConfig(GetParam());
+        cfg.programCache = cache;
+        C2MEngine eng(cfg);
+        std::vector<unsigned> handles;
+        for (unsigned m = 0; m < num_masks; ++m)
+            handles.push_back(
+                eng.addMask(rotMask(cfg.numCounters, m)));
+        size_t i = 0;
+        for (int round = 0; round < 3; ++round)
+            for (uint64_t v : kValues)
+                eng.accumulate(v, handles[i++ % num_masks]);
+        return Run{eng.readCounters(), eng.stats()};
+    };
+    const Run cached = run(true, 4);
+    const Run uncached = run(false, 4);
+    const Run one_mask = run(true, 1);
 
-    C2MEngine cached(cached_cfg);
-    C2MEngine uncached(uncached_cfg);
-    const auto m0 = altMask(cached_cfg.numCounters, 0);
-    const unsigned hc = cached.addMask(m0);
-    const unsigned hu = uncached.addMask(m0);
-
-    for (int round = 0; round < 3; ++round)
-        for (uint64_t v : kValues) {
-            cached.accumulate(v, hc);
-            uncached.accumulate(v, hu);
-        }
-
-    EXPECT_EQ(cached.readCounters(), uncached.readCounters());
-    EXPECT_GT(cached.stats().programCacheHits, 0u);
-    EXPECT_GT(cached.stats().programCacheMisses, 0u);
-    EXPECT_LT(cached.stats().programCacheMisses,
-              cached.stats().programCacheHits +
-                  cached.stats().programCacheMisses);
-    EXPECT_EQ(uncached.stats().programCacheHits, 0u);
-    EXPECT_EQ(uncached.stats().programCacheMisses, 0u);
+    EXPECT_EQ(cached.counters, uncached.counters);
+    EXPECT_GT(cached.stats.programCacheHits, 0u);
+    EXPECT_GT(cached.stats.programCacheMisses, 0u);
+    EXPECT_LT(cached.stats.programCacheMisses,
+              cached.stats.programCacheHits +
+                  cached.stats.programCacheMisses);
+    EXPECT_EQ(cached.stats.programCacheMisses,
+              one_mask.stats.programCacheMisses);
+    EXPECT_EQ(uncached.stats.programCacheHits, 0u);
+    EXPECT_EQ(uncached.stats.programCacheMisses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -324,7 +343,9 @@ TEST(BackendProtection, FaultedEccRetriesAreCacheInvariant)
 {
     // With faults injected, the cached and uncached engines must
     // still follow identical execution paths (same programs, same
-    // RNG draws), so the readouts stay bit-identical.
+    // RNG draws), so the readouts stay bit-identical. Inputs
+    // alternate two masks, so the FR checks read whichever mask row
+    // the replayed program is bound to.
     for (bool cache : {false, true}) {
         auto cfg = baseConfig(BackendKind::Ambit);
         cfg.protection = core::Protection::Ecc;
@@ -332,10 +353,11 @@ TEST(BackendProtection, FaultedEccRetriesAreCacheInvariant)
         cfg.seed = 77;
         cfg.programCache = cache;
         C2MEngine eng(cfg);
-        std::vector<uint8_t> all(cfg.numCounters, 1);
-        const unsigned h = eng.addMask(all);
-        for (uint64_t v : kValues)
-            eng.accumulate(v, h);
+        const unsigned h[2] = {
+            eng.addMask(std::vector<uint8_t>(cfg.numCounters, 1)),
+            eng.addMask(altMask(cfg.numCounters, 1))};
+        for (size_t i = 0; i < std::size(kValues); ++i)
+            eng.accumulate(kValues[i], h[i % 2]);
         static std::vector<int64_t> first;
         if (!cache)
             first = eng.readCounters();

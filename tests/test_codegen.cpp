@@ -74,7 +74,7 @@ struct Harness
     run(const uprog::CheckedProgram &prog)
     {
         for (const auto &b : prog.blocks)
-            sub.run(b.prog);
+            sub.run(b.prog, maskRow);
     }
 };
 
@@ -108,6 +108,20 @@ TEST(RowLogic, CopyNotAndOrAndNot)
     EXPECT_EQ(sub.peekRow(2).toString(), "01001000");
 }
 
+TEST(MaskOperandDeathTest, UnboundMaskRowPanics)
+{
+    // A counting program names its mask by the kMaskRow sentinel;
+    // running it without binding a row must not read some other row.
+    Harness h(4, 16, 8);
+    const auto prog = h.gen.karyIncrement(0, 1);
+    EXPECT_DEATH(
+        {
+            for (const auto &b : prog.blocks)
+                h.sub.run(b.prog);
+        },
+        "none is bound");
+}
+
 // ---------------------------------------------------------------------
 // Parameterized sweep: (radix, k) for increments
 // ---------------------------------------------------------------------
@@ -133,7 +147,7 @@ TEST_P(KaryIncrement, MatchesGoldenModelUnderMask)
         h.setMask(2 * v + 1, false);
     }
 
-    h.run(h.gen.karyIncrement(0, k, h.maskRow));
+    h.run(h.gen.karyIncrement(0, k));
 
     for (unsigned v = 0; v < radix; ++v) {
         // Masked-in column: incremented, wrap recorded in Onext.
@@ -165,7 +179,7 @@ TEST_P(KaryIncrement, DecrementMatchesGoldenModelUnderMask)
         h.setMask(2 * v + 1, false);
     }
 
-    h.run(h.gen.karyDecrement(0, k, h.maskRow));
+    h.run(h.gen.karyDecrement(0, k));
 
     for (unsigned v = 0; v < radix; ++v) {
         const unsigned want = (v + radix - k) % radix;
@@ -187,12 +201,12 @@ TEST_P(KaryIncrement, OnextAccumulatesAcrossIncrements)
     Harness h(radix, 16, 4);
     h.setDigit(0, 0, radix - 1); // will wrap on first increment
     h.setMask(0, true);
-    h.run(h.gen.karyIncrement(0, k, h.maskRow));
+    h.run(h.gen.karyIncrement(0, k));
     ASSERT_TRUE(h.onext(0, 0));
     // A second increment that does not wrap must keep Onext set.
     const unsigned v1 = jc::add(n, radix - 1, k);
     if (!jc::wraps(n, v1, k)) {
-        h.run(h.gen.karyIncrement(0, k, h.maskRow));
+        h.run(h.gen.karyIncrement(0, k));
         EXPECT_TRUE(h.onext(0, 0));
         EXPECT_EQ(h.getDigit(0, 0),
                   static_cast<int>(jc::add(n, v1, k)));
@@ -289,7 +303,7 @@ TEST_P(RadixOnly, MultiDigitAccumulationMatchesArithmetic)
         while (rest != 0) {
             const unsigned k = static_cast<unsigned>(rest % radix);
             if (k != 0)
-                h.run(h.gen.karyIncrement(pos, k, h.maskRow));
+                h.run(h.gen.karyIncrement(pos, k));
             rest /= radix;
             ++pos;
         }
@@ -321,9 +335,9 @@ TEST_P(RadixOnly, IncrementOpCountNearlyConstantInK)
     const unsigned n = radix / 2;
     jc::CounterLayout layout(radix, 16, 0);
     uprog::AmbitCodegen gen(layout, {});
-    const uint64_t base = gen.karyIncrement(0, 1, 99).totalOps();
+    const uint64_t base = gen.karyIncrement(0, 1).totalOps();
     for (unsigned k = 2; k < radix; ++k) {
-        const uint64_t ops = gen.karyIncrement(0, k, 99).totalOps();
+        const uint64_t ops = gen.karyIncrement(0, k).totalOps();
         EXPECT_LE(ops, base + 4 * n) << "k=" << k;
         EXPECT_GE(ops + 4 * n, base) << "k=" << k;
     }
@@ -365,7 +379,7 @@ TEST(CostFormulas, GeneratedCountsTrackPaperScaling)
         jc::CounterLayout layout(radix, 16, 0);
         uprog::AmbitCodegen gen(layout, {});
         const double ours = static_cast<double>(
-            gen.karyIncrement(0, 1, 99).totalOps());
+            gen.karyIncrement(0, 1).totalOps());
         const double paper = static_cast<double>(
             uprog::AmbitCodegen::paperIncrementOps(radix / 2));
         EXPECT_GT(ours / paper, 0.9) << "radix=" << radix;

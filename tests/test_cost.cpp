@@ -1,8 +1,8 @@
 /**
  * @file
  * Fabric-cost accounting tests: DramTimings/EnergyModel algebra
- * (incl. the tFAW/tRRD rank window vs per-bank period), FabricCost
- * merge semantics, cross-backend cost invariants (command counts
+ * (incl. the tFAW/tRRD rank window vs per-bank period),
+ * cross-backend cost invariants (command counts
  * invariant under program caching and under a fallback-forced
  * planner; strictly monotone fabric time; nonzero cost for nonzero
  * op streams), cost-model-vs-simulator agreement on the fabric-time
@@ -14,7 +14,6 @@
 
 #include "common/rng.hpp"
 #include "core/costmodel.hpp"
-#include "core/fabriccost.hpp"
 #include "core/sharded.hpp"
 #include "dram/scheduler.hpp"
 #include "service/ingest.hpp"
@@ -22,7 +21,6 @@
 using namespace c2m;
 using core::BatchOp;
 using core::EngineConfig;
-using core::FabricCost;
 using core::ShardedEngine;
 
 namespace {
@@ -104,42 +102,6 @@ TEST(EnergyModel, PerCommandEnergies)
     EXPECT_GT(e.rowAccessEnergyNj(128), e.rowAccessEnergyNj(64));
 }
 
-TEST(FabricCost, MergeSumsExceptCriticalPath)
-{
-    FabricCost a{100.0, 100.0, 50.0, 10, 5, 3, 2};
-    const FabricCost b{40.0, 40.0, 20.0, 4, 2, 1, 1};
-    a += b;
-    EXPECT_DOUBLE_EQ(a.ns, 140.0);
-    EXPECT_DOUBLE_EQ(a.nj, 70.0);
-    EXPECT_EQ(a.aap, 14u);
-    EXPECT_EQ(a.ap, 7u);
-    EXPECT_EQ(a.tra, 4u);
-    EXPECT_EQ(a.rowAccesses, 3u);
-    EXPECT_EQ(a.commands(), 21u);
-    // Parallel contributors: the slower one bounds the critical path.
-    EXPECT_DOUBLE_EQ(a.criticalNs, 100.0);
-}
-
-TEST(FabricCost, FromOpStatsCarriesEveryAxis)
-{
-    cim::OpStats s;
-    s.aap = 7;
-    s.ap = 3;
-    s.tra = 5;
-    s.rowReads = 2;
-    s.rowWrites = 4;
-    s.fabricNs = 123.0;
-    s.fabricNj = 456.0;
-    const auto c = FabricCost::fromOpStats(s);
-    EXPECT_EQ(c.aap, 7u);
-    EXPECT_EQ(c.ap, 3u);
-    EXPECT_EQ(c.tra, 5u);
-    EXPECT_EQ(c.rowAccesses, 6u);
-    EXPECT_DOUBLE_EQ(c.ns, 123.0);
-    EXPECT_DOUBLE_EQ(c.criticalNs, 123.0);
-    EXPECT_DOUBLE_EQ(c.nj, 456.0);
-}
-
 class CostBackends
     : public ::testing::TestWithParam<core::BackendKind>
 {
@@ -186,16 +148,15 @@ TEST_P(CostBackends, CommandCountsInvariantUnderProgramCache)
 TEST_P(CostBackends, ForcedFallbackMatchesPlannerOffExactly)
 {
     // Two counters whose deltas populate four distinct (digit, k)
-    // planes: a plan would rewrite four plane rows to save two point
-    // mask switches, so the cost model must pick per-op replay — and
-    // then the planner-on engine must issue exactly the commands the
-    // planner-off engine does.
+    // planes: a plan would rewrite the plane row four times to save
+    // two point mask switches, so the cost model must pick per-op
+    // replay — and then the planner-on engine must issue exactly the
+    // commands the planner-off engine does.
     auto cfg = baseConfig(GetParam());
     const std::vector<BatchOp> ops = {{0, 5, 0}, {1, 10, 0}};
 
-    // Deltas from the post-construction baseline: the planner
-    // registers its persistent plane rows up front, which is setup
-    // cost, not stream cost.
+    // Deltas from the post-construction baseline: clearing counters
+    // and reserved mask rows is setup cost, not stream cost.
     cfg.drainPlanner = true;
     ShardedEngine on(cfg, 1);
     const auto on0 = on.stats().fabric;
@@ -214,12 +175,12 @@ TEST_P(CostBackends, ForcedFallbackMatchesPlannerOffExactly)
     EXPECT_EQ(a.tra - on0.tra, b.tra - off0.tra);
     EXPECT_EQ(a.rowWrites - on0.rowWrites,
               b.rowWrites - off0.rowWrites);
-    // NEAR, not exact: the planner engine's larger construction
-    // baseline makes the subtraction round differently.
-    EXPECT_NEAR(a.fabricNs - on0.fabricNs,
-                b.fabricNs - off0.fabricNs, 1e-6);
-    EXPECT_NEAR(a.fabricNj - on0.fabricNj,
-                b.fabricNj - off0.fabricNj, 1e-6);
+    // Exact: both engines reserve the same two mask rows, so their
+    // construction baselines and the subtraction agree bit for bit.
+    EXPECT_DOUBLE_EQ(a.fabricNs - on0.fabricNs,
+                     b.fabricNs - off0.fabricNs);
+    EXPECT_DOUBLE_EQ(a.fabricNj - on0.fabricNj,
+                     b.fabricNj - off0.fabricNj);
     EXPECT_EQ(on.readAllCounters(), off.readAllCounters());
 }
 
@@ -330,22 +291,4 @@ TEST(CostAttribution, ServiceAttributesEngineFabricExactlyOnce)
     EXPECT_DOUBLE_EQ(svc.serviceStats().fabricNj,
                      svc.engineStats().fabric.fabricNj -
                          base.fabricNj);
-}
-
-TEST(CostAttribution, FabricEpochSizingAdaptsTheWindow)
-{
-    const auto cfg = baseConfig();
-    ShardedEngine eng(cfg, 2);
-    service::IngestConfig icfg;
-    icfg.minDrainOps = 1;
-    // Target roughly the fabric time of a handful of ops: after the
-    // first epoch's cost sample the window must move off its seed.
-    icfg.targetEpochFabricNs = 1e6;
-    service::IngestService svc(eng, icfg);
-    EXPECT_EQ(svc.effectiveMinDrainOps(), 1u);
-    const auto ops = randomOps(60, cfg.numCounters, 19);
-    svc.submit(std::span<const BatchOp>(ops));
-    svc.flushAndWait();
-    EXPECT_GT(svc.effectiveMinDrainOps(), 1u);
-    svc.stop();
 }

@@ -115,7 +115,7 @@ TEST_P(NvmTechRadix, KaryIncrementMatchesGolden)
             h.setDigit(0, 2 * v + 1, v);
             h.setMask(2 * v + 1, false);
         }
-        h.mach.run(h.gen.karyIncrement(0, k, h.maskRow));
+        h.mach.run(h.gen.karyIncrement(0, k), h.maskRow);
         for (unsigned v = 0; v < radix; ++v) {
             EXPECT_EQ(h.getDigit(0, 2 * v),
                       static_cast<int>(jc::add(n, v, k)))
@@ -156,7 +156,7 @@ TEST(NvmCost, PinatuboUnitIncrementIs3nPlusConstant)
         jc::CounterLayout layout(radix, 16, 0);
         uprog::NvmCodegen gen(layout, cim::NvmTech::Pinatubo);
         const size_t ops =
-            gen.karyIncrement(0, 1, layout.endRow()).size();
+            gen.karyIncrement(0, 1).size();
         EXPECT_GE(ops, 3u * n + 2) << "radix=" << radix;
         EXPECT_LE(ops, 3u * n + 7) << "radix=" << radix;
     }
@@ -170,7 +170,7 @@ TEST(NvmCost, MagicUnitIncrementIs6nPlusConstant)
         jc::CounterLayout layout(radix, 16, 0);
         uprog::NvmCodegen gen(layout, cim::NvmTech::Magic);
         const size_t ops =
-            gen.karyIncrement(0, 1, layout.endRow()).size();
+            gen.karyIncrement(0, 1).size();
         EXPECT_GE(ops, 6u * n - n) << "radix=" << radix;
         EXPECT_LE(ops, 6u * n + 10) << "radix=" << radix;
     }
@@ -181,8 +181,8 @@ TEST(NvmCost, MagicCostsMoreThanPinatubo)
     jc::CounterLayout layout(10, 16, 0);
     uprog::NvmCodegen pin(layout, cim::NvmTech::Pinatubo);
     uprog::NvmCodegen mag(layout, cim::NvmTech::Magic);
-    EXPECT_LT(pin.karyIncrement(0, 3, layout.endRow()).size(),
-              mag.karyIncrement(0, 3, layout.endRow()).size());
+    EXPECT_LT(pin.karyIncrement(0, 3).size(),
+              mag.karyIncrement(0, 3).size());
 }
 
 TEST(NvmMachine, MagicRejectsAndOps)

@@ -54,7 +54,7 @@ struct RcaHarness
     run(const uprog::CheckedProgram &prog)
     {
         for (const auto &b : prog.blocks)
-            sub.run(b.prog);
+            sub.run(b.prog, maskRow);
     }
 };
 
@@ -86,7 +86,7 @@ TEST_P(RcaWidth, MaskedAccumulateEqualsIntegerAdd)
             if (m)
                 acc[j] = (acc[j] + addend) & mod_mask;
         }
-        h.run(h.gen.maskedAccumulate(addend, h.maskRow));
+        h.run(h.gen.maskedAccumulate(addend));
     }
 
     EXPECT_EQ(h.readAcc(cols), acc);
@@ -97,7 +97,7 @@ TEST_P(RcaWidth, CostIsElevenOpsPerBit)
     const unsigned W = GetParam();
     uprog::RcaLayout layout{W, 0};
     uprog::RcaCodegen gen(layout);
-    const size_t ops = gen.maskedAccumulate(1, 99).totalOps();
+    const size_t ops = gen.maskedAccumulate(1).totalOps();
     EXPECT_EQ(ops, uprog::RcaCodegen::kOpsPerBit * W + 1);
 }
 
@@ -110,8 +110,8 @@ TEST(Rca, ZeroAddendStillRipples)
     // for tiny (or zero) addends -- same op count for any value.
     uprog::RcaLayout layout{32, 0};
     uprog::RcaCodegen gen(layout);
-    EXPECT_EQ(gen.maskedAccumulate(0, 99).totalOps(),
-              gen.maskedAccumulate((1u << 31) | 1u, 99).totalOps());
+    EXPECT_EQ(gen.maskedAccumulate(0).totalOps(),
+              gen.maskedAccumulate((1u << 31) | 1u).totalOps());
 }
 
 TEST(Rca, CarryPropagatesAcrossFullWidth)
@@ -119,7 +119,7 @@ TEST(Rca, CarryPropagatesAcrossFullWidth)
     RcaHarness h(16, 2);
     h.writeAcc({0xffffu, 0x00ffu});
     h.sub.rawRow(h.maskRow).fill(true);
-    h.run(h.gen.maskedAccumulate(1, h.maskRow));
+    h.run(h.gen.maskedAccumulate(1));
     EXPECT_EQ(h.readAcc(2), (std::vector<uint64_t>{0, 0x100}));
 }
 
@@ -139,7 +139,7 @@ TEST(RcaProtected, FaultFreeMatchesUnprotected)
     std::vector<uint64_t> acc = {1, 2, 3, 4, 5, 6, 7, 8};
     h.writeAcc(acc);
     h.sub.rawRow(h.maskRow).fill(true);
-    h.run(h.gen.maskedAccumulate(100, h.maskRow));
+    h.run(h.gen.maskedAccumulate(100));
     for (auto &v : acc)
         v += 100;
     EXPECT_EQ(h.readAcc(8), acc);
@@ -153,8 +153,8 @@ TEST(RcaProtected, CostRoughlyDoubles)
     opts.protect = true;
     uprog::RcaCodegen prot(layout, opts);
     const double ratio =
-        static_cast<double>(prot.maskedAccumulate(1, 99).totalOps()) /
-        static_cast<double>(plain.maskedAccumulate(1, 99).totalOps());
+        static_cast<double>(prot.maskedAccumulate(1).totalOps()) /
+        static_cast<double>(plain.maskedAccumulate(1).totalOps());
     EXPECT_GT(ratio, 1.8);
     EXPECT_LT(ratio, 2.8);
 }
@@ -165,7 +165,7 @@ TEST(RcaProtected, ChecksFlagInjectedFaults)
     opts.protect = true;
     uprog::RcaLayout layout{8, 0};
     uprog::RcaCodegen gen(layout, opts);
-    const auto prog = gen.maskedAccumulate(3, layout.endRow());
+    const auto prog = gen.maskedAccumulate(3);
 
     // With a high fault rate, duplicate computations must disagree in
     // at least one block of one run.
@@ -177,7 +177,7 @@ TEST(RcaProtected, ChecksFlagInjectedFaults)
     size_t mismatches = 0;
     for (int trial = 0; trial < 10; ++trial) {
         for (const auto &blk : prog.blocks) {
-            sub.run(blk.prog);
+            sub.run(blk.prog, layout.endRow());
             for (const auto &chk : blk.checks) {
                 ASSERT_EQ(chk.mode,
                           uprog::FrCheck::Mode::EqualRows);

@@ -316,7 +316,7 @@ TEST(ReliabilityIngest, StragglersScrubbedOnStop)
     service::IngestService svc(eng, {});
     svc.attachObserver(&scrub);
     svc.submit(ops);
-    svc.stop(); // runs queued leftovers as an epoch + onStop full sweep
+    svc.stop(); // drains the queued ops, then onStop's full sweep
 
     EXPECT_EQ(eng.readAllCounters(0), ref);
     EXPECT_GT(scrub.stats().sweeps, 0u);

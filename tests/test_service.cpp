@@ -72,6 +72,55 @@ coalesce(const std::vector<BatchOp> &ops)
     return r;
 }
 
+/**
+ * Four producers submit unit deltas, up to @p ops_each each with
+ * @p pause between submits, until a submit is rejected; stop() runs
+ * once @p stop_after ops were accepted. Checks that every accepted
+ * op, and no other, was applied; returns the accepted count.
+ */
+uint64_t
+stopUnderProducers(size_t ops_each, std::chrono::microseconds pause,
+                   uint64_t stop_after)
+{
+    const auto cfg = baseConfig(64);
+    ShardedEngine engine(cfg, 4);
+    IngestConfig icfg;
+    icfg.queueCapacity = 64;
+    icfg.minDrainOps = 32;
+    IngestService svc(engine, icfg);
+
+    std::atomic<uint64_t> accepted{0};
+    std::vector<std::thread> producers;
+    for (unsigned p = 0; p < 4; ++p)
+        producers.emplace_back([&, p] {
+            Rng rng(100 + p);
+            for (size_t i = 0; i < ops_each; ++i) {
+                const BatchOp op{rng.nextBounded(cfg.numCounters), 1,
+                                 0};
+                if (!svc.submit(op))
+                    break;
+                accepted.fetch_add(1);
+                if (pause.count())
+                    std::this_thread::sleep_for(pause);
+            }
+        });
+    while (accepted.load() < stop_after)
+        std::this_thread::yield();
+    svc.stop();
+    for (auto &t : producers)
+        t.join();
+
+    int64_t sum = 0;
+    for (const int64_t v : engine.readAllCounters())
+        sum += v;
+    EXPECT_EQ(sum, static_cast<int64_t>(accepted.load()));
+    const auto st = svc.serviceStats();
+    EXPECT_EQ(st.submitted, accepted.load());
+    EXPECT_EQ(st.flushedOps + st.coalesced, accepted.load());
+    EXPECT_EQ(st.queued, 0u);
+    return accepted.load();
+}
+
 } // namespace
 
 TEST(Coalesce, MergesDuplicatesKeepsFirstOccurrenceOrder)
@@ -318,49 +367,19 @@ TEST(Ingest, WorkStealingOnFullySkewedBatch)
 
 TEST(Ingest, StopRacingProducersLosesNoAcceptedOp)
 {
-    // Producers keep submitting unit deltas while stop() runs: every
-    // op a submit() accepted must be applied — by the drainer, or by
-    // the leftover epoch stop() runs after closing the queues — and
-    // every other op rejected.
-    const auto cfg = baseConfig(64);
-    ShardedEngine engine(cfg, 4);
-    IngestConfig icfg;
-    icfg.queueCapacity = 64;
-    icfg.minDrainOps = 32;
-    IngestService svc(engine, icfg);
+    // Producers keep submitting unit deltas while stop() runs, paced
+    // so the drainer can empty the queues and exit while producers
+    // still submit.
+    stopUnderProducers(20000, std::chrono::microseconds(20), 200);
+}
 
-    std::atomic<uint64_t> accepted{0};
-    std::vector<std::thread> producers;
-    for (unsigned p = 0; p < 4; ++p)
-        producers.emplace_back([&, p] {
-            Rng rng(100 + p);
-            // Submit until the closed queues reject an op (bounded),
-            // paced so the drainer can empty the queues and exit
-            // while producers still submit.
-            for (size_t i = 0; i < 20000; ++i) {
-                const BatchOp op{rng.nextBounded(cfg.numCounters), 1,
-                                 0};
-                if (!svc.submit(op))
-                    break;
-                accepted.fetch_add(1);
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(20));
-            }
-        });
-    while (accepted.load() < 200)
-        std::this_thread::yield();
-    svc.stop();
-    for (auto &t : producers)
-        t.join();
-
-    int64_t sum = 0;
-    for (const int64_t v : engine.readAllCounters())
-        sum += v;
-    EXPECT_EQ(sum, static_cast<int64_t>(accepted.load()));
-    const auto st = svc.serviceStats();
-    EXPECT_EQ(st.submitted, accepted.load());
-    EXPECT_EQ(st.flushedOps + st.coalesced, accepted.load());
-    EXPECT_EQ(st.queued, 0u);
+TEST(Ingest, StopReturnsUnderSustainedSubmission)
+{
+    // Unpaced producers never let the queues run dry. stop() closes
+    // the queues before it waits for the drainer, so it returns once
+    // the backlog is applied, long before the producers run out.
+    constexpr size_t kOpsEach = 2'000'000;
+    EXPECT_LT(stopUnderProducers(kOpsEach, {}, 10'000), 4 * kOpsEach);
 }
 
 TEST(Ingest, SixteenProducersEightShardsBitExact)
