@@ -1,23 +1,25 @@
 /**
  * @file
- * Async ingest throughput: producers x shards x coalescing x drain
- * planner over uniform and Zipf(1.0)-skewed key streams.
+ * Async ingest throughput: producers x shards x drain planner over
+ * uniform and Zipf(1.0)-skewed key streams.
  *
  * Each cell pushes the same op stream through an IngestService
  * configured with a one-epoch coalescing window (minDrainOps =
- * stream length), so duplicate (counter, group) deltas merge before
- * touching the fabric and the drain planner sees the whole stream as
- * one bucket per shard. The headline numbers:
+ * stream length), so the engine's stage 1 merges duplicate (counter,
+ * group) deltas before they touch the fabric and the drain planner
+ * sees the whole stream as one bucket per shard. The headline
+ * numbers:
  *
- *  - fabric inputs (EngineStats::inputsAccumulated): accumulate
- *    calls that actually reached the fabric. Coalescing on a skewed
- *    stream must cut this >= 2x vs. uncoalesced ingest — the
- *    write-combining win the batch substrate rewards.
+ *  - coalescing (ServiceStats submitted / flushedOps): ops submitted
+ *    per summed op the engine executed. On the planner-off Zipf
+ *    4p/4s cell every summed op is one fabric accumulate, and
+ *    coalescing must cut them >= 2x — the write-combining win the
+ *    batch substrate rewards.
  *  - fabric programs (EngineStats::increments): row-level k-ary
  *    increment programs executed. The digit-plane planner must cut
- *    this >= 5x on the coalesced Zipf 4p/4s cell — the
- *    column-parallel win (Fig. 15): one masked program per populated
- *    (digit, k) plane instead of one program chain per counter.
+ *    this >= 5x on the Zipf 4p/4s cell — the column-parallel win
+ *    (Fig. 15): one masked program per populated (digit, k) plane
+ *    instead of one program chain per counter.
  *  - bit-identity: every cell's final counters are compared against
  *    one blocking C2MEngine replaying the same stream serially.
  *  - fabric cost (EngineStats fabric ns/nj, docs/perf.md): every
@@ -125,10 +127,11 @@ struct Cell
     const char *dist;
     unsigned shards;
     unsigned producers;
-    bool coalesce;
     bool planner;
     double timeS = 0.0;
     double opsPerS = 0.0;
+    uint64_t submitted = 0;
+    uint64_t flushedOps = 0;
     uint64_t fabricInputs = 0;
     uint64_t fabricIncrements = 0;
     uint64_t planPrograms = 0;
@@ -143,14 +146,13 @@ Cell
 runCell(bench::Harness &h, const char *dist,
         const std::vector<core::BatchOp> &ops,
         const std::vector<int64_t> &reference, unsigned shards,
-        unsigned producers, bool coalesce, bool planner,
+        unsigned producers, bool planner,
         size_t min_drain_ops = kNumOps, size_t chunks = 1)
 {
-    Cell cell{dist, shards, producers, coalesce, planner};
+    Cell cell{dist, shards, producers, planner};
     const uint64_t trace0 = bench::traceMark();
     core::ShardedEngine engine(engineConfig(planner), shards);
     service::IngestConfig icfg;
-    icfg.coalesce = coalesce;
     // Default: one-epoch coalescing window — drain only once the
     // whole stream is queued (flush/stop still override), maximizing
     // merges. Smaller windows split the stream into multiple epochs.
@@ -185,6 +187,8 @@ runCell(bench::Harness &h, const char *dist,
     // exactly the cell's work.
     const auto sst = svc.serviceStats();
     const auto est = svc.engineStats();
+    cell.submitted = sst.submitted;
+    cell.flushedOps = sst.flushedOps;
     cell.fabricInputs = est.inputsAccumulated;
     cell.fabricIncrements = est.increments;
     cell.planPrograms = sst.planPrograms;
@@ -194,7 +198,6 @@ runCell(bench::Harness &h, const char *dist,
     cell.json.str("dist", dist)
         .count("shards", shards)
         .count("producers", producers)
-        .flag("coalesce", coalesce)
         .flag("planner", planner)
         .num("time_s", cell.timeS, "%.6f")
         .num("ops_per_s", cell.opsPerS)
@@ -318,7 +321,7 @@ main(int argc, char **argv)
 
     std::vector<Cell> cells;
     bool all_match = true;
-    double zipf_on = 0.0, zipf_off = 0.0;
+    double reduction = 0.0;
     double zipf_prog_plan = 0.0, zipf_prog_noplan = 0.0;
     double cache_hit_rate = 0.0;
     for (const bool zipf : {false, true}) {
@@ -332,30 +335,24 @@ main(int argc, char **argv)
                     static_cast<double>(kNumOps) / replay_s);
         for (const unsigned shards : {1u, 4u}) {
             for (const unsigned producers : {1u, 4u}) {
-                for (const bool coalesce : {false, true}) {
-                    for (const bool planner : {false, true}) {
-                        const auto cell =
-                            runCell(h, dist, ops, reference, shards,
-                                    producers, coalesce, planner);
-                        all_match = all_match && cell.match;
-                        if (zipf && shards == 4 && producers == 4 &&
-                            !planner) {
-                            // Coalescing reduction, planner held off.
-                            (coalesce ? zipf_on : zipf_off) =
-                                static_cast<double>(
-                                    cell.fabricInputs);
-                        }
-                        if (zipf && shards == 4 && producers == 4 &&
-                            coalesce) {
-                            // Planner reduction on the coalesced
-                            // cell: row-level programs executed.
-                            (planner ? zipf_prog_plan
-                                     : zipf_prog_noplan) =
-                                static_cast<double>(
-                                    cell.fabricIncrements);
-                        }
-                        cells.push_back(cell);
+                for (const bool planner : {false, true}) {
+                    const auto cell = runCell(h, dist, ops, reference,
+                                              shards, producers,
+                                              planner);
+                    all_match = all_match && cell.match;
+                    if (zipf && shards == 4 && producers == 4) {
+                        // Coalescing reduction, planner held off:
+                        // ops submitted per summed op executed.
+                        if (!planner && cell.flushedOps > 0)
+                            reduction =
+                                static_cast<double>(cell.submitted) /
+                                static_cast<double>(cell.flushedOps);
+                        // Planner reduction: row-level programs
+                        // executed.
+                        (planner ? zipf_prog_plan : zipf_prog_noplan) =
+                            static_cast<double>(cell.fabricIncrements);
                     }
+                    cells.push_back(cell);
                 }
             }
         }
@@ -366,7 +363,7 @@ main(int argc, char **argv)
             // first epochs replay from the ProgramCache in every
             // later one.
             auto cell = runCell(h, "zipf-16ep", ops, reference, 4, 4,
-                                true, true, kNumOps / 16, 16);
+                                true, kNumOps / 16, 16);
             all_match = all_match && cell.match;
             const uint64_t lookups =
                 cell.cacheHits + cell.cacheMisses;
@@ -377,11 +374,9 @@ main(int argc, char **argv)
             cells.push_back(cell);
 
             // Heaviest contention cell: 16 producers racing into an
-            // 8-shard engine with coalescing and the hierarchical
-            // gang-issue drain both on — the configuration the
-            // merged planner exists for.
-            auto hot = runCell(h, dist, ops, reference, 8, 16, true,
-                               true);
+            // 8-shard engine with the hierarchical gang-issue drain
+            // on — the configuration the merged planner exists for.
+            auto hot = runCell(h, dist, ops, reference, 8, 16, true);
             all_match = all_match && hot.match;
             cells.push_back(hot);
         }
@@ -398,13 +393,12 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(showcase.restores),
                 static_cast<unsigned long long>(showcase.sweeps));
 
-    TextTable t({"dist", "shards", "prod", "coalesce", "plan",
-                 "time_s", "ops/s", "fabric_in", "programs",
-                 "plan_progs", "fabric_us", "match"});
+    TextTable t({"dist", "shards", "prod", "plan", "time_s", "ops/s",
+                 "fabric_in", "programs", "plan_progs", "fabric_us",
+                 "match"});
     for (const auto &c : cells)
         t.addRow({c.dist, std::to_string(c.shards),
                   std::to_string(c.producers),
-                  c.coalesce ? "on" : "off",
                   c.planner ? "on" : "off", TextTable::fmt(c.timeS, 3),
                   TextTable::fmt(c.opsPerS, 0),
                   std::to_string(c.fabricInputs),
@@ -414,13 +408,12 @@ main(int argc, char **argv)
                   c.match ? "yes" : "NO"});
     std::printf("%s", t.render().c_str());
 
-    const double reduction = zipf_on > 0.0 ? zipf_off / zipf_on : 0.0;
     const double plan_reduction =
         zipf_prog_plan > 0.0 ? zipf_prog_noplan / zipf_prog_plan
                              : 0.0;
     h.check(reduction >= 2.0,
-            "zipf 4x4 fabric-op reduction from coalescing: %.2fx "
-            "(need >= 2x)",
+            "zipf 4x4 ops submitted per op executed (coalescing): "
+            "%.2fx (need >= 2x)",
             reduction);
     h.check(plan_reduction >= 5.0,
             "zipf 4x4 fabric-program reduction from the drain "

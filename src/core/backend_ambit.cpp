@@ -23,8 +23,7 @@ AmbitBackend::AmbitBackend(const EngineConfig &cfg,
       maskBase_(layouts_.back().endRow()),
       sub_(maskBase_ + cfg.maxMaskRows, cfg.numCounters,
            cim::FaultModel::cimRate(cfg.faultRate), cfg.seed),
-      cache_(cfg.programCache, stats.programCacheHits,
-             stats.programCacheMisses)
+      cache_(stats.programCacheHits, stats.programCacheMisses)
 {
     caps_.eccChecks = true;
     caps_.tmrVoting = true;

@@ -32,8 +32,7 @@ NvmBackend::NvmBackend(const EngineConfig &cfg,
       maskBase_(layouts_.back().endRow()),
       mach_(maskBase_ + cfg.maxMaskRows, cfg.numCounters, tech_,
             cim::FaultModel::cimRate(cfg.faultRate), cfg.seed),
-      cache_(cfg.programCache, stats.programCacheHits,
-             stats.programCacheMisses)
+      cache_(stats.programCacheHits, stats.programCacheMisses)
 {
     caps_.signedCounting = true;
     caps_.pendingFlags = true;

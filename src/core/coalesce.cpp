@@ -25,10 +25,9 @@ mixKey(uint64_t counter, uint32_t group)
 
 void
 coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &sc,
-            CoalesceResult &out)
+            std::vector<BatchOp> &out)
 {
-    out.ops.clear();
-    out.merged = 0;
+    out.clear();
     if (ops.empty())
         return;
     // Keep load factor <= 0.5 so probe chains stay short; the table
@@ -52,7 +51,7 @@ coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &sc,
         std::fill(sc.stamps.begin(), sc.stamps.end(), 0u);
         sc.epoch = 1;
     }
-    out.ops.reserve(ops.size());
+    out.reserve(ops.size());
     for (const auto &op : ops) {
         size_t i = mixKey(op.counter, op.group) & sc.mask;
         for (;;) {
@@ -60,30 +59,20 @@ coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &sc,
                 sc.stamps[i] = sc.epoch;
                 sc.counters[i] = op.counter;
                 sc.groups[i] = op.group;
-                sc.slots[i] =
-                    static_cast<uint32_t>(out.ops.size());
-                out.ops.push_back(op);
+                sc.slots[i] = static_cast<uint32_t>(out.size());
+                out.push_back(op);
                 break;
             }
             if (sc.counters[i] == op.counter &&
                 sc.groups[i] == op.group) {
-                out.ops[sc.slots[i]].value += op.value;
-                ++out.merged;
+                out[sc.slots[i]].value += op.value;
                 break;
             }
             i = (i + 1) & sc.mask;
         }
     }
     // Elide counters whose deltas cancelled, keeping order stable.
-    size_t kept = 0;
-    for (size_t i = 0; i < out.ops.size(); ++i) {
-        if (out.ops[i].value == 0) {
-            ++out.merged;
-            continue;
-        }
-        out.ops[kept++] = out.ops[i];
-    }
-    out.ops.resize(kept);
+    std::erase_if(out, [](const BatchOp &op) { return op.value == 0; });
 }
 
 } // namespace core

@@ -22,13 +22,13 @@
  * summed in int64 without overflow checks; callers feed counter
  * deltas, which are far below the 2^63 boundary.
  *
- * Two callers share one summer: the ingest service coalesces each
- * shard's epoch bucket before execution, and ShardedEngine's drain
- * planner sums every part's per-counter deltas with it before
- * decomposing the sums into shared (digit, k) plane masks — at most
- * D*(R-1) column-parallel fabric programs per group. The summer is a
- * software write-combining buffer (dense open-addressing table with
- * epoch stamps) that allocates nothing in steady state.
+ * The one caller is stage 1 of ShardedEngine's epoch pipeline, which
+ * sums each shard bucket once; the drain planner then decomposes the
+ * sums into shared (digit, k) plane masks — at most D*(R-1)
+ * column-parallel fabric programs per group — and the per-op
+ * fallback replays the same sums. The summer is a software
+ * write-combining buffer (dense open-addressing table with epoch
+ * stamps) that allocates nothing in steady state.
  */
 
 #include <cstdint>
@@ -46,22 +46,13 @@ struct BatchOp
     uint32_t group = 0; ///< counter group, as in C2MEngine
 };
 
-struct CoalesceResult
-{
-    /** One op per surviving (counter, group), first-occurrence order. */
-    std::vector<BatchOp> ops;
-    /** Input ops eliminated by merging or zero-sum elision. */
-    uint64_t merged = 0;
-};
-
 /**
  * Reusable write-combining table: open addressing over (counter,
  * group) keys with per-slot epoch stamps, so clearing between epochs
  * is a single counter bump instead of a table wipe. Sized to the
  * next power of two >= 2x the bucket, grown only when a bigger
- * bucket arrives; one scratch per shard (in IngestService and in each
- * ShardedEngine planner scratch) keeps the epoch hot path
- * allocation-free.
+ * bucket arrives; one scratch per shard (in each ShardedEngine
+ * planner scratch) keeps the epoch hot path allocation-free.
  */
 struct CoalesceScratch
 {
@@ -75,12 +66,11 @@ struct CoalesceScratch
 
 /**
  * Write-combining coalesce of @p ops into @p out (cleared first),
- * reusing @p scratch across calls: surviving ops keep
- * first-occurrence order, zero-sum counters are elided, out.merged
- * counts eliminated input ops.
+ * reusing @p scratch across calls: one op per surviving (counter,
+ * group) in first-occurrence order; zero-sum counters are elided.
  */
 void coalesceOps(std::span<const BatchOp> ops, CoalesceScratch &scratch,
-                 CoalesceResult &out);
+                 std::vector<BatchOp> &out);
 
 } // namespace core
 } // namespace c2m

@@ -72,13 +72,6 @@ struct EngineConfig
     uint64_t seed = 1;
     BackendKind backend = BackendKind::Ambit;
     /**
-     * Cache generated muPrograms per (op, group, digit, k) and replay
-     * them under whichever mask row a call binds, removing the fixed
-     * codegen cost from the batch hot path. Replayed programs are
-     * bit-identical to regeneration.
-     */
-    bool programCache = true;
-    /**
      * Column-parallel drain planning for batched point updates
      * (ShardedEngine/IngestService): decompose each counter's epoch
      * delta into radix digits and issue ONE masked k-ary increment

@@ -128,6 +128,15 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
                 : cfg.dramTimings.rowAccessNs(static_cast<unsigned>(
                       (shardWidth(s) + 7) / 8));
     }
+    if (shards_[0]->backend().caps().pendingFlags) {
+        // R^(D-1), capped below 2^63 (a smaller step is still valid).
+        int64_t limit = 1;
+        for (unsigned d = 1; d < shards_[0]->backend().numDigits() &&
+                             limit <= maxStep_ / cfg.radix;
+             ++d)
+            limit *= cfg.radix;
+        maxStep_ = limit - 1;
+    }
     shardBusy_ = std::make_unique<std::atomic<bool>[]>(num_shards);
     allShards_.resize(num_shards);
     for (unsigned s = 0; s < num_shards; ++s)
@@ -211,12 +220,18 @@ ShardedEngine::prepareShardParts(unsigned s,
 {
     auto &sc = scratch_[s];
     sc.partsUsed = 0;
-    if (ops.empty())
-        return;
     for (const auto &op : ops)
         C2M_ASSERT(op.counter >= starts_[s] &&
                        op.counter < starts_[s + 1],
                    "counter ", op.counter, " not owned by shard ", s);
+    // Stage 1 — combine: one write-combining pass sums each (counter,
+    // group) delta in first-occurrence order and drops zero sums.
+    // Every later stage, the per-op fallback included, sees only the
+    // sums.
+    coalesceOps(ops, sc.summer, sc.sums);
+    const std::span<const BatchOp> sums = sc.sums;
+    if (sums.empty())
+        return;
     const auto newPart = [&sc]() -> PlanPart & {
         if (sc.partsUsed == sc.parts.size())
             sc.parts.emplace_back();
@@ -230,34 +245,24 @@ ShardedEngine::prepareShardParts(unsigned s,
         p.planned = false;
         return p;
     };
-    // Planner off, or Unit counting (no k-ary planes): the bucket
-    // stays one serial part in its original op order. With the
-    // planner on these ops still count as fallback at execution so
-    // the invariant plannedOps + planFallbackOps == batched ops
-    // holds for metric consumers.
-    if (!cfg_.drainPlanner || cfg_.counting != CountMode::Kary) {
+    // One part holds every sum when the planner is off or counting is
+    // Unit (no k-ary planes; the sums replay per-op and count as
+    // fallback), or when the whole bucket targets one group, the
+    // common case. Otherwise partition by group (first-appearance
+    // order, per-group op order preserved); groups hold independent
+    // counter state, so draining them one after another cannot
+    // change any value.
+    const bool plan =
+        cfg_.drainPlanner && cfg_.counting == CountMode::Kary;
+    if (!plan || std::all_of(sums.begin(), sums.end(),
+                             [&](const BatchOp &op) {
+                                 return op.group == sums.front().group;
+                             })) {
         PlanPart &p = newPart();
-        p.group = ops.front().group;
-        p.ops = ops;
-        return;
-    }
-    // Common case first: the whole bucket targets one group.
-    bool single_group = true;
-    for (const auto &op : ops)
-        if (op.group != ops.front().group) {
-            single_group = false;
-            break;
-        }
-    if (single_group) {
-        PlanPart &p = newPart();
-        p.group = ops.front().group;
-        p.ops = ops;
+        p.group = sums.front().group;
+        p.ops = sums;
     } else {
-        // Partition by group (first-appearance order, per-group op
-        // order preserved); groups hold independent counter state,
-        // so draining them one after another cannot change any
-        // value.
-        for (const auto &op : ops) {
+        for (const auto &op : sums) {
             size_t i = 0;
             while (i < sc.partsUsed && sc.parts[i].group != op.group)
                 ++i;
@@ -270,36 +275,34 @@ ShardedEngine::prepareShardParts(unsigned s,
         for (size_t i = 0; i < sc.partsUsed; ++i)
             sc.parts[i].ops = sc.parts[i].own;
     }
-    for (size_t i = 0; i < sc.partsUsed; ++i)
-        analyzePart(s, sc.parts[i]);
+    if (plan)
+        for (size_t i = 0; i < sc.partsUsed; ++i)
+            analyzePart(s, sc.parts[i]);
 }
 
 void
 ShardedEngine::analyzePart(unsigned s, PlanPart &part)
 {
     C2MEngine &eng = *shards_[s];
-    auto &sc = scratch_[s];
+    const auto &sc = scratch_[s];
     // Signed-mode groups keep pending flags fully resolved per op;
     // a plan would defer them, so those parts replay per-op.
     if (eng.signedMode(part.group))
         return;
 
-    // A negative op means serial replay could enter signed mode
+    // A negative sum means serial replay could enter signed mode
     // mid-bucket — fall back so the op-for-op state machine stays
-    // bit-identical. Otherwise sum each counter's delta
-    // (first-occurrence order; all-zero counters drop out, and they
-    // would populate no plane).
+    // bit-identical.
     for (const auto &op : part.ops)
         if (op.value < 0)
             return;
-    coalesceOps(part.ops, sc.summer, sc.sums);
     const size_t lo = starts_[s];
 
     // Build the digit planes: counter col joins plane (d, k) iff its
     // summed delta has digit k at position d. The top digit is the
     // guard per-value increments never touch (only ripples carry
     // into it), so a summed delta reaching it cannot be planned —
-    // replay the raw ops instead, which stay per-value in range.
+    // the part replays per-op, in in-range steps.
     const unsigned R = cfg_.radix;
     const unsigned D = eng.backend().numDigits();
     if (part.planes.empty()) {
@@ -308,7 +311,7 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
         part.planeUsed.assign(part.planes.size(), 0);
     }
     bool over_capacity = false;
-    for (const BatchOp &sum : sc.sums.ops) {
+    for (const BatchOp &sum : part.ops) {
         const size_t col = static_cast<size_t>(sum.counter) - lo;
         uint64_t v = static_cast<uint64_t>(sum.value);
         unsigned pos = 0;
@@ -342,14 +345,12 @@ ShardedEngine::analyzePart(unsigned s, PlanPart &part)
         return;
     }
 
-    // Price the per-op replay alternative over the RAW ops — one
-    // increment program per nonzero digit of each original value
-    // (RCA: one W-bit add per op, zeros included, which is what
+    // Price the per-op replay alternative over the same sums the
+    // fallback would replay — one increment program per nonzero
+    // digit of each sum (RCA: one W-bit add per sum, which is what
     // C2MEngine issues without pending flags) plus a point-mask
-    // rewrite per counter switch — so a hot key hit N times costs ~N
-    // program chains per-op but shares one plane set once summed.
-    // The merged stage-3 decision compares the sum of these against
-    // ONE global plan.
+    // rewrite per counter switch. The merged stage-3 decision
+    // compares the sum of these against ONE global plan.
     const bool whole_adds = !eng.backend().caps().pendingFlags;
     size_t prev_col = std::numeric_limits<size_t>::max();
     for (const auto &op : part.ops) {
@@ -394,11 +395,18 @@ ShardedEngine::runShardSerial(unsigned s,
             eng.setMask(kPointMask, sc.pointMask);
             sc.pointCol = col;
         }
-        if (op.value >= 0)
-            eng.accumulate(static_cast<uint64_t>(op.value),
-                           kPointMask, op.group);
-        else
-            eng.accumulateSigned(op.value, kPointMask, op.group);
+        // A sum past one increment's range (its top digit would
+        // land in the guard digit) replays in in-range steps.
+        int64_t left = op.value;
+        do {
+            const int64_t v = std::clamp(left, -maxStep_, maxStep_);
+            if (v >= 0)
+                eng.accumulate(static_cast<uint64_t>(v), kPointMask,
+                               op.group);
+            else
+                eng.accumulateSigned(v, kPointMask, op.group);
+            left -= v;
+        } while (left != 0);
     }
 }
 
@@ -533,11 +541,10 @@ ShardedEngine::execShardParts(unsigned s)
             eng.executePlan(p.steps, p.pre, p.post, p.group,
                             kPlaneMask, p.ops.size());
         } else {
-            // Demoted or ineligible parts replay per-op; with the
-            // planner on they count as fallback so plannedOps +
-            // planFallbackOps == batched ops holds.
-            if (cfg_.drainPlanner)
-                eng.notePlanFallback(p.ops.size());
+            // Demoted or ineligible parts replay per-op and count as
+            // fallback, so plannedOps + planFallbackOps == summed ops
+            // holds in every configuration.
+            eng.notePlanFallback(p.ops.size());
             runShardSerial(s, p.ops);
         }
     }
@@ -587,14 +594,22 @@ ShardedEngine::runEpoch(std::span<const EpochBucket> buckets)
         ids.push_back(b.shard);
         ops[b.shard] = b.ops;
     }
-    // Stage 1+2 — combine + count (host-only, parallel): partition
-    // each bucket by group, sum deltas, build plane histograms.
-    runShards(ids, [this, &ops](C2MEngine &, unsigned s) {
-        prepareShardParts(s, ops[s]);
-    });
-    // Stage 3 — merged scan/offset + gang leadership (host-serial;
-    // no stage-1/4 task in flight, so scratch access is exclusive).
-    planParts(ids);
+    {
+        // Stage 1+2 — combine + count (host-only, parallel): sum
+        // each bucket's deltas, partition the sums by group, build
+        // plane histograms.
+        const obs::ScopedSpan span("epoch.prepare", obs::kServiceTrack);
+        runShards(ids, [this, &ops](C2MEngine &, unsigned s) {
+            prepareShardParts(s, ops[s]);
+        });
+    }
+    {
+        // Stage 3 — merged scan/offset + gang leadership
+        // (host-serial; no stage-1/4 task in flight, so scratch
+        // access is exclusive).
+        const obs::ScopedSpan span("epoch.plan", obs::kServiceTrack);
+        planParts(ids);
+    }
     // Stage 4 — execute the plane slices (parallel). Only this stage
     // counts steals: it is the one doing fabric work.
     return runShards(

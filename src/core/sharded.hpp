@@ -33,20 +33,20 @@
  *
  * Digit-plane drain planner (EngineConfig::drainPlanner, default on):
  * a shard bucket of point updates is not replayed one op at a time —
- * the planner sums each counter's delta, decomposes the sums into
- * radix-R digits, and for every populated (digit position d, digit
- * value k) builds ONE shared plane mask covering all counters whose
- * delta has digit k at position d. Each plane costs a single masked
- * karyIncrement, so a bucket of N ops executes in at most D*(R-1)
- * column-parallel fabric programs per group (Fig. 15) instead of N
- * whole-row program sequences. Every plane is written through one
+ * its deltas are summed per (counter, group) once, on every path, and
+ * the planner decomposes the sums into radix-R digits, and for every
+ * populated (digit position d, digit value k) builds ONE shared plane
+ * mask covering all counters whose delta has digit k at position d.
+ * Each plane costs a single masked karyIncrement, so a bucket of N
+ * ops executes in at most D*(R-1) column-parallel fabric programs
+ * per group (Fig. 15) instead of N whole-row program sequences. Every plane is written through one
  * reserved plane-mask row per shard; cached increment programs bind
  * that row when they run, so their keys depend only on (digit, k)
  * and replay across planes and epochs. Signed-mode groups, buckets
- * containing negative deltas, Unit counting, and buckets whose
- * modeled fabric cost (C2mCostModel command counts priced by
- * DramTimings) does not beat per-op replay fall back to the serial
- * path; either path yields bit-identical counter values.
+ * with a negative sum, Unit counting, and buckets whose modeled
+ * fabric cost (C2mCostModel command counts priced by DramTimings)
+ * does not beat per-op replay of the same sums fall back to the
+ * serial path; either path yields bit-identical counter values.
  *
  * Hierarchical (global-then-sliced) planning — runEpoch(): draining
  * one bucket per shard through runShardOps replicates every plane
@@ -54,8 +54,9 @@
  * shard count. runEpoch instead runs the classic radix-count stage
  * split over ALL buckets of an epoch:
  *
- *   1. combine — per shard (parallel, host-only): partition the
- *      bucket by group and sum each counter's delta;
+ *   1. combine — per shard (parallel, host-only): sum each
+ *      (counter, group) delta of the bucket, the only coalescing
+ *      pass on any path, and partition the sums by group;
  *   2. count — per shard (same pass): decompose the sums into one
  *      per-(digit, k) plane histogram;
  *   3. scan/offset — host-serial: merge the per-shard histograms
@@ -86,6 +87,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -148,9 +150,10 @@ class ShardedEngine
     void accumulateBatch(std::span<const BatchOp> ops);
 
     /**
-     * One shard's coalesced ops for an epoch drain: at most one
-     * bucket per shard, ops all owned by that shard. The spans must
-     * stay valid for the duration of the runEpoch call.
+     * One shard's ops for an epoch drain, as cut (stage 1 coalesces
+     * them): at most one bucket per shard, ops all owned by that
+     * shard. The spans must stay valid for the duration of the
+     * runEpoch call.
      */
     struct EpochBucket
     {
@@ -163,11 +166,12 @@ class ShardedEngine
      * pipeline (see the file comment): parallel combine/count per
      * bucket, one merged scan/offset plan per group priced globally
      * and sliced back with gang-issue roles, then parallel sliced
-     * execution. Both parallel stages run through runShards. Returns
-     * the execute-stage steals (buckets run off their home lane).
-     * Counter results are bit-identical to draining each bucket
-     * through runShardOps, and to replaySerial on the concatenated
-     * op stream.
+     * execution. Both parallel stages run through runShards. Stages
+     * 1+2 run inside an `epoch.prepare` trace span and stage 3
+     * inside `epoch.plan`. Returns the execute-stage steals (buckets
+     * run off their home lane). Counter results are bit-identical to
+     * draining each bucket through runShardOps, and to replaySerial
+     * on the concatenated op stream.
      */
     uint64_t runEpoch(std::span<const EpochBucket> buckets);
 
@@ -242,8 +246,8 @@ class ShardedEngine
     static constexpr unsigned kReservedMasks = 2;
 
     /**
-     * One group's slice of a shard bucket, carried through the epoch
-     * pipeline: stage 1/2 fill ops/sums-derived planes, stage 3
+     * One group's slice of a shard's summed bucket, carried through
+     * the epoch pipeline: stage 1/2 fill ops and planes, stage 3
      * decides `planned` and fills steps/pre/post with gang roles,
      * stage 4 executes. Reused across epochs so the steady-state
      * drain path performs no per-op allocation (plane masks are
@@ -253,9 +257,9 @@ class ShardedEngine
     {
         uint32_t group = 0;
         /**
-         * Ops of this part: a view into the caller's bucket on the
-         * single-group fast path, into `own` when a bucket had to be
-         * partitioned by group.
+         * Summed ops of this part, one per (counter, group): a view
+         * into the shard's `sums` on the single-group fast path, into
+         * `own` when the sums had to be partitioned by group.
          */
         std::span<const BatchOp> ops;
         std::vector<BatchOp> own; ///< backing store (multi-group)
@@ -266,7 +270,7 @@ class ShardedEngine
         std::vector<MaskedStep> steps;  ///< stage-3 sliced program
         std::vector<PlanRipple> pre;    ///< scheduled IARM ripples
         std::vector<PlanRipple> post;   ///< FullRipple post-pass
-        /** Modeled ns of replaying this part's RAW ops per-op. */
+        /** Modeled ns of replaying this part's ops per-op. */
         double fallbackNs = 0.0;
         /** Plan candidate after stage 2; final verdict after 3. */
         bool planned = false;
@@ -286,9 +290,9 @@ class ShardedEngine
     {
         BitVector pointMask; ///< reusable single-bit point mask
         size_t pointCol;     ///< column currently set in pointMask
-        /** Per-counter delta sums of the current part. */
+        /** Per-(counter, group) delta sums of the current bucket. */
         CoalesceScratch summer;
-        CoalesceResult sums;
+        std::vector<BatchOp> sums;
         /** Group partition of this shard's bucket, parts[0..used). */
         std::vector<PlanPart> parts;
         size_t partsUsed = 0;
@@ -298,13 +302,13 @@ class ShardedEngine
 
     /**
      * Pipeline stages 1+2 for one shard (host-only, no fabric work):
-     * partition @p ops by group, then per part sum each counter's
-     * delta, build the per-(digit, k) plane histogram and price the
-     * per-op replay alternative. Caller holds the shard's
-     * single-writer guard.
+     * sum each (counter, group) delta of @p ops, partition the sums
+     * by group, then per part build the per-(digit, k) plane
+     * histogram and price the per-op replay alternative. Caller
+     * holds the shard's single-writer guard.
      */
     void prepareShardParts(unsigned s, std::span<const BatchOp> ops);
-    /** Stage 2 for one part: delta sums, planes, fallback price. */
+    /** Stage 2 for one part: planes and fallback price. */
     void analyzePart(unsigned s, PlanPart &part);
     /**
      * Stage 3 (host-serial): for every distinct group across
@@ -353,6 +357,11 @@ class ShardedEngine
      * Drives the merged plan-vs-fallback decision in planParts.
      */
     std::vector<double> planIncNs_;
+    /**
+     * Largest delta one accumulate call takes: R^(D-1) - 1 on the JC
+     * backends (the top digit is the guard), unbounded on RCA.
+     */
+    int64_t maxStep_ = std::numeric_limits<int64_t>::max();
     /** Every shard, in order: the list broadcasts run over. */
     std::vector<unsigned> allShards_;
     ThreadPool pool_;

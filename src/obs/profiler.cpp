@@ -161,6 +161,10 @@ fillWindow(EpochProfile &ep, const ProfileInput &in)
                 ep.coalesceNs += s.hostNs();
             else if (s.name == "epoch.execute")
                 ep.executeNs += s.hostNs();
+            else if (s.name == "epoch.prepare")
+                ep.prepareNs += s.hostNs();
+            else if (s.name == "epoch.plan")
+                ep.planNs += s.hostNs();
             else if (s.name == "epoch.observer")
                 ep.observerNs += s.hostNs();
             continue;
@@ -258,23 +262,18 @@ std::string
 renderEpochProfiles(const std::vector<EpochProfile> &eps)
 {
     TextTable t({"epoch", "host_us", "cut_us", "coalesce_us",
-                 "execute_us", "observer_us", "shards", "crit_shard",
-                 "skew", "fabric_crit_us", "util", "commits",
-                 "fallbacks"});
+                 "execute_us", "prepare_us", "plan_us", "observer_us",
+                 "shards", "crit_shard", "skew", "fabric_crit_us",
+                 "util", "commits", "fallbacks"});
+    const auto us = [](int64_t ns) {
+        return TextTable::fmt(static_cast<double>(ns) / 1e3, 1);
+    };
     for (size_t i = 0; i < eps.size(); ++i) {
         const EpochProfile &ep = eps[i];
         t.addRow({ep.synthetic ? "all" : std::to_string(i),
-                  TextTable::fmt(
-                      static_cast<double>(ep.hostNs()) / 1e3, 1),
-                  TextTable::fmt(
-                      static_cast<double>(ep.cutNs) / 1e3, 1),
-                  TextTable::fmt(
-                      static_cast<double>(ep.coalesceNs) / 1e3, 1),
-                  TextTable::fmt(
-                      static_cast<double>(ep.executeNs) / 1e3, 1),
-                  TextTable::fmt(
-                      static_cast<double>(ep.observerNs) / 1e3, 1),
-                  std::to_string(ep.shards.size()),
+                  us(ep.hostNs()), us(ep.cutNs), us(ep.coalesceNs),
+                  us(ep.executeNs), us(ep.prepareNs), us(ep.planNs),
+                  us(ep.observerNs), std::to_string(ep.shards.size()),
                   ep.criticalShard < 0
                       ? std::string("-")
                       : std::to_string(ep.criticalShard),

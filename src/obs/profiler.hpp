@@ -12,7 +12,8 @@
  *
  * The profiler follows the top-down attribution style of TMA-like
  * methodologies: first split the host epoch into phases
- * (cut/coalesce/execute/observer), then split execution across shards
+ * (cut/execute/observer, and inside execute the engine's
+ * prepare/plan stages), then split execution across shards
  * to find the critical path and quantify skew, then attribute every
  * modeled fabric nanosecond to the activity that charged it.
  */
@@ -92,8 +93,13 @@ struct EpochProfile
 
     // Phase breakdown (host ns of the epoch.* sub-spans).
     int64_t cutNs = 0;
+    /** Service-side coalescing; only older traces carry the span. */
     int64_t coalesceNs = 0;
     int64_t executeNs = 0;
+    /** Engine stages 1+2 (coalesce, partition, plane histograms). */
+    int64_t prepareNs = 0;
+    /** Engine stage 3 (merged plan, gang roles); inside execute. */
+    int64_t planNs = 0;
     int64_t observerNs = 0;
 
     std::vector<ShardDrainStat> shards;

@@ -66,10 +66,11 @@ void
 Scrubber::onShardOps(unsigned shard,
                      std::span<const core::BatchOp> ops)
 {
-    // These are the planned deltas: the drainer reports the exact
-    // coalesced bucket the drain planner folds into digit planes, so
-    // the journal's per-counter sums equal what the fabric received
-    // whether the bucket executed column-parallel or per-op.
+    // These are the planned deltas: the drainer reports the bucket
+    // as cut, which the engine sums per (counter, group) before it
+    // plans or replays, so the journal's per-counter sums equal what
+    // the fabric received whether the bucket executed column-parallel
+    // or per-op.
     auto &st = shards_[shard];
     const size_t start = engine_.shardStart(shard);
     for (const auto &op : ops)

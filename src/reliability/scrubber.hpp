@@ -41,7 +41,8 @@
  * Drain-planner interplay: when the engine executes a bucket as
  * column-parallel digit planes (EngineConfig::drainPlanner), the
  * journal still records exactly the planned deltas — onShardOps
- * receives the same coalesced ops the planner folds, and the journal
+ * receives the bucket's ops as cut, the engine's stage 1 sums the
+ * same ops per (counter, group) before planning, and the journal
  * keys per-counter *sums*, which plans preserve by construction
  * (digit decomposition of the summed delta). Plans also ripple
  * through the same IARM scheduler the sweep's drain() uses, so the

@@ -17,7 +17,6 @@ IngestService::IngestService(core::ShardedEngine &engine,
                "queueCapacity must be >= 1");
     C2M_ASSERT(cfg_.minDrainOps >= 1, "minDrainOps must be >= 1");
     lastShardEpoch_.assign(engine_.numShards(), 0);
-    coalesceScratch_.resize(engine_.numShards());
     for (unsigned s = 0; s < engine_.numShards(); ++s)
         queues_.push_back(std::make_unique<BoundedOpQueue>(
             cfg_.queueCapacity, cfg_.backpressure,
@@ -299,20 +298,26 @@ IngestService::drainerLoop()
     }
 }
 
-size_t
+void
 IngestService::runEpoch(uint64_t epoch)
 {
     obs::ScopedSpan epoch_span("epoch", obs::kServiceTrack);
-    std::vector<Bucket> buckets;
+    std::vector<std::vector<core::BatchOp>> cut(engine_.numShards());
+    std::vector<core::ShardedEngine::EpochBucket> buckets;
     size_t cut_total = 0;
     {
         obs::ScopedSpan cut_span("epoch.cut", obs::kServiceTrack);
         for (unsigned s = 0; s < engine_.numShards(); ++s) {
-            auto ops = queues_[s]->cut();
-            if (ops.empty())
+            cut[s] = queues_[s]->cut();
+            if (cut[s].empty())
                 continue;
-            cut_total += ops.size();
-            buckets.push_back({s, std::move(ops)});
+            cut_total += cut[s].size();
+            buckets.push_back({s, cut[s]});
+            // Whole buckets only, in strictly increasing epoch order
+            // per shard.
+            C2M_ASSERT(lastShardEpoch_[s] < epoch,
+                       "bucket reorder on shard ", s);
+            lastShardEpoch_[s] = epoch;
         }
         queuedOps_.fetch_sub(cut_total, std::memory_order_relaxed);
     }
@@ -322,21 +327,6 @@ IngestService::runEpoch(uint64_t epoch)
 
     ServiceStats es;
     es.epochs = 1;
-    if (cfg_.coalesce) {
-        obs::ScopedSpan co_span("epoch.coalesce", obs::kServiceTrack);
-        // Per-shard write-combining tables persist across epochs, so
-        // the steady-state coalesce pass allocates only the output
-        // vector it hands to the bucket.
-        core::CoalesceResult r;
-        for (auto &b : buckets) {
-            core::coalesceOps(b.ops, coalesceScratch_[b.shard], r);
-            es.coalesced += r.merged;
-            b.ops = std::move(r.ops);
-        }
-    }
-    for (const auto &b : buckets)
-        es.flushedOps += b.ops.size();
-
     const auto t0 = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> ek(engineMutex_);
@@ -347,13 +337,23 @@ IngestService::runEpoch(uint64_t epoch)
             obs::ScopedSpan x_span(
                 "epoch.execute", obs::kServiceTrack,
                 obs::tracer() ? engine_.stats().fabric.fabricNs : 0.0);
-            executeEpoch(epoch, buckets, es);
+            // One call per epoch into the engine's hierarchical drain
+            // pipeline: per-shard combine/count stages (coalescing
+            // included) run on the lane pool's claim loop, the merged
+            // scan/offset plan is priced globally, and cross-shard
+            // plane programs gang-issue instead of replicating per
+            // shard.
+            es.steals += engine_.runEpoch(buckets);
             if (x_span.active())
                 x_span.setFabricEnd(engine_.stats().fabric.fabricNs);
         }
         // Attribute the drain's planner and fabric activity to this
-        // epoch.
+        // epoch. The engine coalesced each bucket in its stage 1 and
+        // counts every sum it executed as planned or fallback, so the
+        // cut ops it did not execute were merged away.
         const core::EngineStats d = epochWindow_.delta();
+        es.flushedOps = d.plannedOps + d.planFallbackOps;
+        es.coalesced = cut_total - es.flushedOps;
         es.plans += d.plansExecuted;
         es.planPrograms += d.planPrograms;
         es.plannedOps += d.plannedOps;
@@ -389,16 +389,9 @@ IngestService::runEpoch(uint64_t epoch)
         std::lock_guard<std::mutex> lk(m_);
         appliedEpoch_ = epoch;
         stats_ += es;
-        recordDrainLatency(static_cast<uint64_t>(us));
+        drainHist_.record(static_cast<uint64_t>(us));
         epochCv_.notify_all();
     }
-    return cut_total;
-}
-
-void
-IngestService::recordDrainLatency(uint64_t us)
-{
-    drainHist_.record(us);
 }
 
 DrainLatency
@@ -413,30 +406,6 @@ IngestService::drainLatency() const
     out.p99 = drainHist_.percentile(0.99);
     out.max = drainHist_.max();
     return out;
-}
-
-void
-IngestService::executeEpoch(uint64_t epoch,
-                            std::vector<Bucket> &buckets,
-                            ServiceStats &epoch_stats)
-{
-    for (const auto &b : buckets) {
-        // The stealing contract: whole ready buckets only, applied in
-        // strictly increasing epoch order per shard.
-        C2M_ASSERT(lastShardEpoch_[b.shard] < epoch,
-                   "bucket reorder on shard ", b.shard);
-        lastShardEpoch_[b.shard] = epoch;
-    }
-    // One call per epoch into the engine's hierarchical drain
-    // pipeline: per-shard combine/count stages run on the lane pool's
-    // claim loop, the merged scan/offset plan is priced globally, and
-    // cross-shard plane programs gang-issue instead of replicating
-    // per shard.
-    std::vector<core::ShardedEngine::EpochBucket> eb;
-    eb.reserve(buckets.size());
-    for (const auto &b : buckets)
-        eb.push_back({b.shard, b.ops});
-    epoch_stats.steals += engine_.runEpoch(eb);
 }
 
 size_t

@@ -11,15 +11,14 @@
  *
  *   1. cut: every shard queue's pending ops are swapped out (each
  *      cut is a FIFO prefix of that shard's submissions);
- *   2. coalesce: per shard, duplicate (counter, group) deltas are
- *      summed through a per-shard write-combining scratch table
- *      (core/coalesce.hpp) so a hot counter costs one fabric update
- *      per epoch;
- *   3. execute: the epoch's buckets run through the engine's
+ *   2. execute: the epoch's buckets run through the engine's
  *      hierarchical drain pipeline (ShardedEngine::runEpoch) on the
  *      lane pool — stage tasks are claimed by whichever lane is
  *      free, so one skewed shard cannot serialize the epoch behind
- *      busy lanes.
+ *      busy lanes. The pipeline's stage 1 coalesces each bucket:
+ *      duplicate (counter, group) deltas are summed through the
+ *      shard's write-combining table (core/coalesce.hpp), so a hot
+ *      counter costs one fabric update per epoch.
  *      With the engine's drain planner on
  *      (EngineConfig::drainPlanner, default), the epoch executes as
  *      ONE merged set of column-parallel digit planes, gang-issued
@@ -77,7 +76,6 @@ struct IngestConfig
      * duplicates per epoch at the cost of ingest latency.
      */
     size_t minDrainOps = 1;
-    bool coalesce = true;
     Backpressure backpressure = Backpressure::Block;
 };
 
@@ -89,6 +87,9 @@ struct IngestConfig
  * ingest epochs even when other drivers (scrubber, tensor ops) share
  * the engine: engine.fabric.* remains the engine-lifetime total,
  * service fabric is the slice this service's epochs executed.
+ * flushedOps is the epochs' plannedOps + planFallbackOps (the summed
+ * ops the engine executed) and coalesced the cut ops it merged away,
+ * so flushedOps + coalesced == ops cut.
  */
 #define C2M_SERVICE_STATS_FIELDS(X)                                   \
     X(uint64_t, submitted, "service.submitted", Sum) /* accepted */   \
@@ -116,7 +117,7 @@ struct ServiceStats
  * Hook into the drainer's epoch boundary. The service invokes the
  * observer from the drainer thread while it holds the engine: after
  * an epoch's buckets have executed, onShardOps() reports each
- * shard's applied (coalesced) ops, then onEpochApplied() marks the
+ * shard's applied ops as cut, then onEpochApplied() marks the
  * boundary — the engine is quiescent for its whole duration, so the
  * observer may drive it (this is where the reliability scrubber
  * sweeps counter rows). Both run *before* the epoch is marked
@@ -256,24 +257,13 @@ class IngestService
     const obs::LogHistogram &drainHistogram() const { return drainHist_; }
 
   private:
-    struct Bucket
-    {
-        unsigned shard;
-        std::vector<core::BatchOp> ops;
-    };
-
     void drainerLoop();
     /** True iff some shard queue holds ops (queue locks, not m_). */
     bool anyQueued() const;
-    /** Cut + coalesce + execute one epoch; returns ops cut. */
-    size_t runEpoch(uint64_t epoch);
-    void executeEpoch(uint64_t epoch, std::vector<Bucket> &buckets,
-                      ServiceStats &epoch_stats);
+    /** Cut + execute one epoch. */
+    void runEpoch(uint64_t epoch);
     /** Producer-side: force a drain now (full queue, flush). */
     void kick();
-
-    /** Record one epoch's drain time (thread-safe). */
-    void recordDrainLatency(uint64_t us);
 
     core::ShardedEngine &engine_;
     const IngestConfig cfg_;
@@ -303,12 +293,10 @@ class IngestService
     /** Serializes epoch execution against snapshot reads. */
     mutable std::mutex engineMutex_;
     /**
-     * Epoch-side state, touched only by the drainer thread: last
-     * epoch executed per shard (FIFO assert) and per-shard
-     * write-combining coalesce tables.
+     * Last epoch executed per shard (FIFO assert), touched only by
+     * the drainer thread.
      */
     std::vector<uint64_t> lastShardEpoch_;
-    std::vector<core::CoalesceScratch> coalesceScratch_;
     /** Per-epoch engine sampling window (guarded by engineMutex_). */
     core::StatsWindow epochWindow_;
 

@@ -80,25 +80,21 @@ struct ProgramKeyHash
 /**
  * Cache of generated programs keyed by ProgramKey. @p hits/@p misses
  * reference the owning engine's EngineStats counters so shard merges
- * see cache effectiveness without extra plumbing. When disabled the
- * builder runs on every lookup (the pre-cache behavior), which the
- * equivalence tests use to pin replay == regeneration.
+ * see cache effectiveness without extra plumbing. Replayed programs
+ * are bit-identical to regeneration (pinned by running an op stream
+ * on a cold cache and again, after clear(), on the warm one).
  */
 template <typename Program> class ProgramCache
 {
   public:
-    ProgramCache(bool enabled, uint64_t &hits, uint64_t &misses)
-        : enabled_(enabled), hits_(hits), misses_(misses)
+    ProgramCache(uint64_t &hits, uint64_t &misses)
+        : hits_(hits), misses_(misses)
     {
     }
 
     template <typename Build>
     const Program &get(const ProgramKey &key, Build &&build)
     {
-        if (!enabled_) {
-            scratch_ = build();
-            return scratch_;
-        }
         auto it = map_.find(key);
         if (it != map_.end()) {
             ++hits_;
@@ -108,7 +104,6 @@ template <typename Program> class ProgramCache
         return map_.emplace(key, build()).first->second;
     }
 
-    bool enabled() const { return enabled_; }
     size_t size() const { return map_.size(); }
 
     /**
@@ -118,10 +113,8 @@ template <typename Program> class ProgramCache
     void clear() { map_.clear(); }
 
   private:
-    bool enabled_;
     uint64_t &hits_;
     uint64_t &misses_;
-    Program scratch_; ///< holds the rebuilt program when disabled
     std::unordered_map<ProgramKey, Program, ProgramKeyHash> map_;
 };
 

@@ -12,6 +12,7 @@
 
 #include <iterator>
 
+#include "common/rng.hpp"
 #include "core/backend_rca.hpp"
 #include "core/costmodel.hpp"
 #include "core/engine.hpp"
@@ -151,43 +152,48 @@ TEST_P(BackendKindTest, GemvBinaryKernelRunsOnEveryBackend)
 
 TEST_P(BackendKindTest, CachedProgramsAreBitIdenticalToUncached)
 {
-    // Inputs rotate over the masks. A program binds its mask row when
-    // it runs, so the cache holds one entry per (op, digit, k) or
-    // addend whatever the number of masks: rotating over four masks
-    // misses exactly as often as one mask does.
-    struct Run
-    {
-        std::vector<int64_t> counters;
-        core::EngineStats stats;
-    };
-    const auto run = [&](bool cache, unsigned num_masks) {
-        auto cfg = baseConfig(GetParam());
-        cfg.programCache = cache;
+    // Replay == regeneration: a fresh engine generates each program
+    // the first time the stream needs it; after clear() it replays
+    // the stream from the warm cache alone. Each pass charges the
+    // fabric ledger from zero, so equal command streams give bit-equal
+    // ns and nJ. Inputs rotate over the masks; a program binds its
+    // mask row when it runs, so rotating over four masks misses
+    // exactly as often as one mask does.
+    const auto cfg = baseConfig(GetParam());
+    const auto passes = [&](unsigned num_masks) {
         C2MEngine eng(cfg);
-        std::vector<unsigned> handles;
+        std::vector<unsigned> h;
         for (unsigned m = 0; m < num_masks; ++m)
-            handles.push_back(
-                eng.addMask(rotMask(cfg.numCounters, m)));
-        size_t i = 0;
-        for (int round = 0; round < 3; ++round)
-            for (uint64_t v : kValues)
-                eng.accumulate(v, handles[i++ % num_masks]);
-        return Run{eng.readCounters(), eng.stats()};
+            h.push_back(eng.addMask(rotMask(cfg.numCounters, m)));
+        std::vector<std::pair<std::vector<int64_t>, core::EngineStats>>
+            out;
+        for (int pass = 0; pass < 2; ++pass) {
+            eng.clear();
+            eng.backend().opStatsRef().reset();
+            const core::EngineStats before = eng.stats();
+            for (size_t i = 0; i < 3 * std::size(kValues); ++i)
+                eng.accumulate(kValues[i % std::size(kValues)],
+                               h[i % num_masks]);
+            auto counters = eng.readCounters();
+            out.emplace_back(std::move(counters), eng.stats() - before);
+        }
+        return out;
     };
-    const Run cached = run(true, 4);
-    const Run uncached = run(false, 4);
-    const Run one_mask = run(true, 1);
+    const auto runs = passes(4);
+    const core::EngineStats &cold = runs[0].second;
+    const core::EngineStats &warm = runs[1].second;
 
-    EXPECT_EQ(cached.counters, uncached.counters);
-    EXPECT_GT(cached.stats.programCacheHits, 0u);
-    EXPECT_GT(cached.stats.programCacheMisses, 0u);
-    EXPECT_LT(cached.stats.programCacheMisses,
-              cached.stats.programCacheHits +
-                  cached.stats.programCacheMisses);
-    EXPECT_EQ(cached.stats.programCacheMisses,
-              one_mask.stats.programCacheMisses);
-    EXPECT_EQ(uncached.stats.programCacheHits, 0u);
-    EXPECT_EQ(uncached.stats.programCacheMisses, 0u);
+    EXPECT_EQ(runs[1].first, runs[0].first);
+    EXPECT_EQ(warm.fabric.aap, cold.fabric.aap);
+    EXPECT_EQ(warm.fabric.ap, cold.fabric.ap);
+    EXPECT_EQ(warm.fabric.tra, cold.fabric.tra);
+    EXPECT_DOUBLE_EQ(warm.fabric.fabricNs, cold.fabric.fabricNs);
+    EXPECT_DOUBLE_EQ(warm.fabric.fabricNj, cold.fabric.fabricNj);
+    EXPECT_GT(cold.programCacheHits, 0u);
+    EXPECT_GT(cold.programCacheMisses, 0u);
+    EXPECT_EQ(warm.programCacheMisses, 0u);
+    EXPECT_EQ(cold.programCacheMisses,
+              passes(1)[0].second.programCacheMisses);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -341,29 +347,32 @@ TEST(RcaInputs, TmrOutvotesACorruptedReplicaRow)
 
 TEST(BackendProtection, FaultedEccRetriesAreCacheInvariant)
 {
-    // With faults injected, the cached and uncached engines must
-    // still follow identical execution paths (same programs, same
-    // RNG draws), so the readouts stay bit-identical. Inputs
-    // alternate two masks, so the FR checks read whichever mask row
-    // the replayed program is bound to.
-    for (bool cache : {false, true}) {
-        auto cfg = baseConfig(BackendKind::Ambit);
-        cfg.protection = core::Protection::Ecc;
-        cfg.faultRate = 2e-3;
-        cfg.seed = 77;
-        cfg.programCache = cache;
-        C2MEngine eng(cfg);
-        const unsigned h[2] = {
-            eng.addMask(std::vector<uint8_t>(cfg.numCounters, 1)),
-            eng.addMask(altMask(cfg.numCounters, 1))};
+    // With faults injected, a cold-cache pass and a warm-cache repeat
+    // from the same fault RNG state must follow identical execution
+    // paths (same programs, same RNG draws), so the readouts stay
+    // bit-identical. Inputs alternate two masks, so the FR checks read
+    // whichever mask row the replayed program is bound to.
+    auto cfg = baseConfig(BackendKind::Ambit);
+    cfg.protection = core::Protection::Ecc;
+    cfg.faultRate = 2e-3;
+    cfg.seed = 77;
+    C2MEngine eng(cfg);
+    const unsigned h[2] = {
+        eng.addMask(std::vector<uint8_t>(cfg.numCounters, 1)),
+        eng.addMask(altMask(cfg.numCounters, 1))};
+    const Rng start = eng.subarray().rng();
+    const auto pass = [&] {
         for (size_t i = 0; i < std::size(kValues); ++i)
             eng.accumulate(kValues[i], h[i % 2]);
-        static std::vector<int64_t> first;
-        if (!cache)
-            first = eng.readCounters();
-        else
-            EXPECT_EQ(eng.readCounters(), first);
-    }
+        return eng.readCounters();
+    };
+    const auto cold = pass();
+    const uint64_t misses = eng.stats().programCacheMisses;
+    EXPECT_GT(misses, 0u);
+    eng.clear();
+    eng.subarray().rng() = start;
+    EXPECT_EQ(pass(), cold);
+    EXPECT_EQ(eng.stats().programCacheMisses, misses);
 }
 
 TEST(BackendSharded, NonAmbitShardsMatchHostHistogram)

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -187,6 +188,35 @@ TEST(EpochProfile, CriticalPathFromLiveRecorder)
     EXPECT_EQ(in.spans.size(), 4u);
     EXPECT_EQ(in.instants.size(), 2u);
     checkScenarioProfile(buildEpochProfiles(in));
+
+    // Live service epochs: the engine's prepare (stages 1+2) and plan
+    // (stage 3) spans nest inside epoch.execute and run before any
+    // stage-4 shard drain starts.
+    TraceRecorder live;
+    live.install();
+    {
+        core::ShardedEngine eng(
+            smallConfig(core::BackendKind::Ambit, true), 4);
+        service::IngestService svc(
+            eng, {.queueCapacity = 4096, .minDrainOps = 2000});
+        svc.submit(randomOps(2000, 256, 5));
+        svc.stop();
+    }
+    live.uninstall();
+    unsigned drained = 0;
+    for (const EpochProfile &ep :
+         buildEpochProfiles(profileFromRecorder(live))) {
+        if (ep.shards.empty())
+            continue; // an epoch that cut no ops runs no stages
+        ++drained;
+        EXPECT_GT(ep.prepareNs, 0);
+        EXPECT_GT(ep.planNs, 0);
+        int64_t slowest = 0;
+        for (const ShardDrainStat &sd : ep.shards)
+            slowest = std::max(slowest, sd.hostNs);
+        EXPECT_LE(ep.prepareNs + ep.planNs + slowest, ep.executeNs);
+    }
+    EXPECT_GT(drained, 0u);
 }
 
 TEST(EpochProfile, ChromeExportRoundTripsIdentically)
@@ -266,11 +296,12 @@ TEST(SpanFamilies, AggregatesAndRanksByTotalTime)
 
 TEST(EpochProfile, RcaReplayPriceEqualsChargedFabric)
 {
-    // RCA per-op replay is priced at one W-bit add per op, zeros
-    // included, plus a point-mask write per counter switch. Multi-digit
-    // deltas make the plan dearer (one add and one mask write per
-    // plane), forcing the replay; its traced price must be exactly the
-    // fabric time the replay then charges (the trace keeps whole ns).
+    // RCA per-op replay is priced at one W-bit add per summed op plus
+    // a point-mask write per counter switch; the zero delta sums to
+    // nothing and is dropped before pricing. Multi-digit deltas make
+    // the plan dearer (one add and one mask write per plane), forcing
+    // the replay; its traced price must be exactly the fabric time
+    // the replay then charges (the trace keeps whole ns).
     core::ShardedEngine eng(smallConfig(core::BackendKind::Rca, true),
                             1);
     const std::vector<core::BatchOp> ops = {
@@ -288,7 +319,7 @@ TEST(EpochProfile, RcaReplayPriceEqualsChargedFabric)
     EXPECT_EQ(eps[0].planFallbacks, 1u);
     EXPECT_GT(replay_ns, 0.0);
     EXPECT_NEAR(eps[0].fallbackPricedNs, replay_ns, 0.5);
-    EXPECT_EQ(eng.stats().planFallbackOps, ops.size());
+    EXPECT_EQ(eng.stats().planFallbackOps, 2u);
     const auto counters = eng.readAllCounters();
     EXPECT_EQ(counters[0], 7);
     EXPECT_EQ(counters[1], 0);

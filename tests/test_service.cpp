@@ -63,13 +63,13 @@ randomOps(size_t n, size_t counters, uint64_t seed,
     return ops;
 }
 
-core::CoalesceResult
+std::vector<BatchOp>
 coalesce(const std::vector<BatchOp> &ops)
 {
     core::CoalesceScratch scratch;
-    core::CoalesceResult r;
-    core::coalesceOps(ops, scratch, r);
-    return r;
+    std::vector<BatchOp> sums;
+    core::coalesceOps(ops, scratch, sums);
+    return sums;
 }
 
 /**
@@ -128,14 +128,13 @@ TEST(Coalesce, MergesDuplicatesKeepsFirstOccurrenceOrder)
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {3, 1, 0}, {5, -1, 0}, {7, 4, 0}, {3, -1, 0}};
     const auto r = coalesce(ops);
-    ASSERT_EQ(r.ops.size(), 2u);
+    ASSERT_EQ(r.size(), 2u);
     // Counter 3 cancels to zero and is elided; 5 and 7 keep the
     // order they first appeared in.
-    EXPECT_EQ(r.ops[0].counter, 5u);
-    EXPECT_EQ(r.ops[0].value, 1);
-    EXPECT_EQ(r.ops[1].counter, 7u);
-    EXPECT_EQ(r.ops[1].value, 4);
-    EXPECT_EQ(r.merged, 3u);
+    EXPECT_EQ(r[0].counter, 5u);
+    EXPECT_EQ(r[0].value, 1);
+    EXPECT_EQ(r[1].counter, 7u);
+    EXPECT_EQ(r[1].value, 4);
 }
 
 TEST(Coalesce, GroupsStaySeparate)
@@ -143,12 +142,11 @@ TEST(Coalesce, GroupsStaySeparate)
     const std::vector<BatchOp> ops = {
         {5, 2, 0}, {5, 3, 1}, {5, 1, 0}};
     const auto r = coalesce(ops);
-    ASSERT_EQ(r.ops.size(), 2u);
-    EXPECT_EQ(r.ops[0].group, 0u);
-    EXPECT_EQ(r.ops[0].value, 3);
-    EXPECT_EQ(r.ops[1].group, 1u);
-    EXPECT_EQ(r.ops[1].value, 3);
-    EXPECT_EQ(r.merged, 1u);
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(r[0].group, 0u);
+    EXPECT_EQ(r[0].value, 3);
+    EXPECT_EQ(r[1].group, 1u);
+    EXPECT_EQ(r[1].value, 3);
 }
 
 TEST(Ingest, SingleProducerMatchesSerialReplay)
@@ -196,28 +194,19 @@ TEST(Ingest, CoalescingHalvesFabricOpsBitIdentical)
                        0});
     const auto reference = core::replaySerial(cfg, ops);
 
-    uint64_t inputs_on = 0;
-    uint64_t inputs_off = 0;
-    for (const bool coalesce : {true, false}) {
-        ShardedEngine engine(cfg, 4);
-        IngestConfig icfg;
-        icfg.coalesce = coalesce;
-        IngestService svc(engine, icfg);
-        EXPECT_EQ(svc.submit(ops), ops.size());
-        EXPECT_EQ(svc.readCounters(), reference);
-        const auto est = svc.engineStats();
-        (coalesce ? inputs_on : inputs_off) =
-            est.inputsAccumulated;
-        if (coalesce) {
-            const auto st = svc.serviceStats();
-            EXPECT_GT(st.coalesced, 0u);
-            EXPECT_EQ(st.flushedOps + st.coalesced, ops.size());
-        }
-    }
-    EXPECT_EQ(inputs_off, 400u);
+    ShardedEngine engine(cfg, 4);
+    IngestService svc(engine);
+    EXPECT_EQ(svc.submit(ops), ops.size());
+    EXPECT_EQ(svc.readCounters(), reference);
+    const uint64_t inputs = svc.engineStats().inputsAccumulated;
+    const auto st = svc.serviceStats();
+    EXPECT_GT(st.coalesced, 0u);
+    EXPECT_EQ(st.flushedOps + st.coalesced, ops.size());
+    EXPECT_EQ(inputs, st.flushedOps);
     // A same-shard span lands in one epoch, so every duplicate in
-    // the batch coalesces: >= 2x fewer fabric accumulates.
-    EXPECT_LE(2 * inputs_on, inputs_off);
+    // the batch coalesces: >= 2x fewer fabric accumulates than the
+    // 400 raw ops.
+    EXPECT_LE(2 * inputs, ops.size());
 }
 
 TEST(Ingest, PlannerDrainCutsFabricProgramsBitIdentical)
@@ -329,7 +318,6 @@ TEST(Ingest, DropBackpressureCountsEveryReject)
     IngestConfig icfg;
     icfg.queueCapacity = 8;
     icfg.backpressure = Backpressure::Drop;
-    icfg.coalesce = false;
     IngestService svc(engine, icfg);
 
     size_t accepted = 0;

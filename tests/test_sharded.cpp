@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 
 #include "common/rng.hpp"
 #include "core/sharded.hpp"
@@ -56,29 +55,14 @@ randomOps(size_t n, size_t counters, uint64_t seed,
     return ops;
 }
 
-/** Reference: the same op stream on one engine over the full space. */
-std::vector<int64_t>
-runSingle(const EngineConfig &cfg, const std::vector<BatchOp> &ops,
-          unsigned group = 0)
+/** Ops the engine executes for @p ops: its non-zero sums. */
+uint64_t
+summedOps(const std::vector<BatchOp> &ops)
 {
-    C2MEngine eng(cfg);
-    const unsigned h =
-        eng.addMask(std::vector<uint8_t>(cfg.numCounters, 0));
-    size_t current = std::numeric_limits<size_t>::max();
-    for (const auto &op : ops) {
-        if (op.counter != current) {
-            std::vector<uint8_t> mask(cfg.numCounters, 0);
-            mask[op.counter] = 1;
-            eng.setMask(h, mask);
-            current = op.counter;
-        }
-        if (op.value >= 0)
-            eng.accumulate(static_cast<uint64_t>(op.value), h,
-                           op.group);
-        else
-            eng.accumulateSigned(op.value, h, op.group);
-    }
-    return eng.readCounters(group);
+    core::CoalesceScratch scratch;
+    std::vector<BatchOp> sums;
+    core::coalesceOps(ops, scratch, sums);
+    return sums.size();
 }
 
 } // namespace
@@ -94,8 +78,8 @@ TEST_P(ShardedVsSingle, UnsignedPointStreamMatches)
 
     ShardedEngine sharded(cfg, 4);
     sharded.accumulateBatch(ops);
-    EXPECT_EQ(sharded.readAllCounters(), runSingle(cfg, ops));
-    EXPECT_EQ(sharded.stats().inputsAccumulated, ops.size());
+    EXPECT_EQ(sharded.readAllCounters(), core::replaySerial(cfg, ops));
+    EXPECT_EQ(sharded.stats().inputsAccumulated, summedOps(ops));
 }
 
 TEST_P(ShardedVsSingle, SignedPointStreamMatches)
@@ -105,7 +89,7 @@ TEST_P(ShardedVsSingle, SignedPointStreamMatches)
 
     ShardedEngine sharded(cfg, 4);
     sharded.accumulateBatch(ops);
-    EXPECT_EQ(sharded.readAllCounters(), runSingle(cfg, ops));
+    EXPECT_EQ(sharded.readAllCounters(), core::replaySerial(cfg, ops));
 }
 
 INSTANTIATE_TEST_SUITE_P(Radices, ShardedVsSingle,
@@ -119,7 +103,7 @@ TEST(Sharded, EccConfigMatchesFaultFree)
 
     ShardedEngine sharded(cfg, 4);
     sharded.accumulateBatch(ops);
-    EXPECT_EQ(sharded.readAllCounters(), runSingle(cfg, ops));
+    EXPECT_EQ(sharded.readAllCounters(), core::replaySerial(cfg, ops));
     EXPECT_GT(sharded.stats().checksRun, 0u);
     EXPECT_EQ(sharded.stats().faultsDetected, 0u);
 }
@@ -132,7 +116,7 @@ TEST(Sharded, TmrConfigMatchesFaultFree)
 
     ShardedEngine sharded(cfg, 4);
     sharded.accumulateBatch(ops);
-    EXPECT_EQ(sharded.readAllCounters(), runSingle(cfg, ops));
+    EXPECT_EQ(sharded.readAllCounters(), core::replaySerial(cfg, ops));
     EXPECT_GT(sharded.stats().voteOps, 0u);
 }
 
@@ -153,7 +137,7 @@ TEST(Sharded, UnevenSplitCoversEveryCounter)
     const auto ops = randomOps(150, cfg.numCounters, 13, true);
     ShardedEngine run(cfg, 4);
     run.accumulateBatch(ops);
-    EXPECT_EQ(run.readAllCounters(), runSingle(cfg, ops));
+    EXPECT_EQ(run.readAllCounters(), core::replaySerial(cfg, ops));
 }
 
 TEST(Sharded, DeterministicAcrossThreadCounts)
@@ -263,7 +247,7 @@ TEST(Sharded, MergedStatsAggregateFaultCounters)
     ShardedEngine sharded(cfg, 4);
     sharded.accumulateBatch(ops);
     const auto merged = sharded.stats();
-    EXPECT_EQ(merged.inputsAccumulated, ops.size());
+    EXPECT_EQ(merged.inputsAccumulated, summedOps(ops));
     EXPECT_GT(merged.checksRun, 0u);
 
     // The merge equals the field-wise sum over the shards.
@@ -407,11 +391,12 @@ TEST(DrainPlanner, UniformStreamMatchesSerialReplay)
     EXPECT_GT(stats_on.plansExecuted, 0u);
     EXPECT_GT(stats_on.planPrograms, 0u);
     EXPECT_EQ(stats_on.plannedOps + stats_on.planFallbackOps,
-              ops.size());
+              summedOps(ops));
     // The column-parallel win: far fewer fabric programs.
     EXPECT_LT(stats_on.increments, stats_off.increments / 4);
     EXPECT_EQ(stats_off.plansExecuted, 0u);
-    EXPECT_EQ(stats_on.inputsAccumulated, ops.size());
+    EXPECT_EQ(stats_off.planFallbackOps, summedOps(ops));
+    EXPECT_EQ(stats_on.inputsAccumulated, summedOps(ops));
 }
 
 TEST(DrainPlanner, ZipfStreamMatchesSerialReplay)
@@ -481,29 +466,30 @@ TEST(DrainPlanner, GuardDigitSumsFallBackInsteadOfPanicking)
     EXPECT_GT(eng.stats().planFallbackOps, 0u);
 }
 
-TEST(DrainPlanner, HotKeyDuplicatesPlanAgainstRawOpCost)
+TEST(DrainPlanner, HotKeyDuplicatesReplayAsOneSum)
 {
-    // An uncoalesced hot-key bucket: the sums collapse to few
-    // counters, so the plan must be costed against the RAW per-op
-    // replay it replaces (~N programs), not against the sums —
-    // otherwise 2000 unit hits would fall back to 2000 program
-    // chains where a handful of planes suffice.
+    // 2000 unit hits on one counter sum to a single op in stage 1,
+    // so the plan is priced against replaying that one sum, and
+    // whichever path wins issues only its few digit increments —
+    // never 2000 program chains.
     const auto cfg = baseConfig(32);
     std::vector<BatchOp> ops(2000, BatchOp{4, 1, 0});
     const auto ref = core::replaySerial(cfg, ops);
 
-    const auto [on, stats_on] = runPlanned(cfg, ops, true, 1);
-    EXPECT_EQ(on, ref);
-    EXPECT_EQ(stats_on.planFallbackOps, 0u);
-    EXPECT_GT(stats_on.plansExecuted, 0u);
-    EXPECT_LT(stats_on.increments, 20u);
+    for (const bool planner : {true, false}) {
+        const auto [counters, st] = runPlanned(cfg, ops, planner, 1);
+        EXPECT_EQ(counters, ref);
+        EXPECT_EQ(st.plannedOps + st.planFallbackOps, 1u);
+        EXPECT_EQ(st.inputsAccumulated, 1u);
+        EXPECT_LT(st.increments, 20u);
+    }
 }
 
 TEST(DrainPlanner, SignedBucketsFallBackPerOp)
 {
     const auto cfg = baseConfig(64);
     const auto ops = randomOps(400, cfg.numCounters, 19, true);
-    const auto ref = runSingle(cfg, ops);
+    const auto ref = core::replaySerial(cfg, ops);
 
     const auto [on, stats_on] = runPlanned(cfg, ops, true);
     EXPECT_EQ(on, ref);
@@ -525,11 +511,44 @@ TEST(DrainPlanner, SignedModeGroupNeverPlans)
 
     const auto st = eng.stats();
     EXPECT_EQ(st.plansExecuted, 0u);
-    EXPECT_EQ(st.planFallbackOps, 1 + pos.size());
+    EXPECT_EQ(st.planFallbackOps, 1 + summedOps(pos));
 
     std::vector<BatchOp> all = neg;
     all.insert(all.end(), pos.begin(), pos.end());
-    EXPECT_EQ(eng.readAllCounters(), runSingle(cfg, all));
+    EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, all));
+}
+
+TEST(DrainPlanner, SignedModeGroupReplaysEachSumOnce)
+{
+    // A signed-mode group replays per-op, but still replays the
+    // bucket's sums: each (counter, group) once, however often the
+    // batch repeats it, and never a key whose deltas cancel.
+    const auto cfg = baseConfig(32);
+    ShardedEngine eng(cfg, 1);
+    const std::vector<BatchOp> neg{{3, -5, 0}};
+    eng.accumulateBatch(neg);
+    ASSERT_TRUE(eng.shard(0).signedMode(0));
+
+    // Counters 0, 3, ..., 30 four times each; counter 6 also gets a
+    // +9/-9 pair, and counter 29's only pair sums to zero.
+    std::vector<BatchOp> ops{{6, 9, 0}, {29, 6, 0}, {6, -9, 0}};
+    for (int rep = 0; rep < 4; ++rep)
+        for (uint64_t c = 0; c < cfg.numCounters; c += 3)
+            ops.push_back({c, static_cast<int64_t>(1 + c % 5), 0});
+    ops.push_back({29, -6, 0});
+    const core::StatsWindow window(eng);
+    eng.accumulateBatch(ops);
+
+    const auto d = window.delta();
+    const uint64_t distinct = 11;
+    EXPECT_EQ(summedOps(ops), distinct);
+    EXPECT_EQ(d.inputsAccumulated, distinct);
+    EXPECT_EQ(d.planFallbackOps, distinct);
+    EXPECT_EQ(d.plansExecuted, 0u);
+
+    std::vector<BatchOp> all = neg;
+    all.insert(all.end(), ops.begin(), ops.end());
+    EXPECT_EQ(eng.readAllCounters(), core::replaySerial(cfg, all));
 }
 
 TEST(DrainPlanner, MultiGroupBucketsPlanIndependently)
@@ -642,7 +661,7 @@ TEST_P(EpochPipeline, UnsignedEpochMatchesSerialReplay)
     EXPECT_EQ(eng.readAllCounters(), ref);
 
     const auto st = eng.stats();
-    EXPECT_EQ(st.plannedOps + st.planFallbackOps, ops.size());
+    EXPECT_EQ(st.plannedOps + st.planFallbackOps, summedOps(ops));
     expectGangInvariants(st, shards);
     if (shards > 1 && st.plansExecuted >= shards) {
         // A dense uniform stream touches the same (digit, k) planes
@@ -661,7 +680,7 @@ TEST_P(EpochPipeline, SignedEpochFallsBackAndMatches)
     cfg.backend = backend;
     cfg.capacityBits = 16;
     const auto ops = randomOps(300, cfg.numCounters, 83, true);
-    const auto ref = runSingle(cfg, ops);
+    const auto ref = core::replaySerial(cfg, ops);
 
     EngineConfig pcfg = cfg;
     pcfg.drainPlanner = true;
@@ -698,7 +717,7 @@ TEST_P(EpochPipeline, StatsWindowCoversOnlyItsBatch)
     // The later window sees only the batch, with a critical path
     // recomputed from per-shard deltas rather than the lifetime one.
     const auto d = batch.delta();
-    EXPECT_EQ(d.plannedOps + d.planFallbackOps, ops.size());
+    EXPECT_EQ(d.plannedOps + d.planFallbackOps, summedOps(ops));
     expectGangInvariants(d, shards);
     EXPECT_GT(d.fabricCriticalNs, 0.0);
     EXPECT_LE(d.fabricCriticalNs, d.fabric.fabricNs);
