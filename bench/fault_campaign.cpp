@@ -165,8 +165,7 @@ runCell(core::BackendKind backend, const Scheme &scheme, double rate,
     // Observer before service: it must outlive the service's stop().
     std::unique_ptr<reliability::Scrubber> scrub;
     if (scheme.scrub)
-        scrub = std::make_unique<reliability::Scrubber>(
-            eng, reliability::ScrubConfig{});
+        scrub = std::make_unique<reliability::Scrubber>(eng);
     service::IngestService svc(eng, {});
     if (scrub)
         svc.attachObserver(scrub.get());

@@ -57,7 +57,6 @@ class AmbitBackend final : public CountingBackend
     cim::OpStats &opStatsRef() override { return sub_.stats(); }
     const BitVector &scrubReadRow(unsigned row) override;
     void scrubWriteRow(unsigned row, const BitVector &v) override;
-    bool setFrChecks(unsigned fr_checks) override;
 
     const jc::CounterLayout &layout(unsigned phys) const override;
     void rowCopy(unsigned src, unsigned dst) override;

@@ -32,6 +32,11 @@ enum class Protection : uint8_t
     Tmr,  ///< triple modular redundancy with majority vote
 };
 
+/**
+ * Counting policies compared by the Fig. 8 cost model (C2mCostModel,
+ * DesignPoint). The engine itself always runs Kary counting with
+ * IARM rippling; Unit and FullRipple exist only as modeled baselines.
+ */
 enum class RippleMode : uint8_t
 {
     Iarm,       ///< input-aware rippling minimization (Sec. 4.5.2)
@@ -66,8 +71,6 @@ struct EngineConfig
     Protection protection = Protection::None;
     unsigned frChecks = 1;   ///< FR computations per masking step
     unsigned maxRetries = 4; ///< re-executions before giving up
-    RippleMode ripple = RippleMode::Iarm;
-    CountMode counting = CountMode::Kary;
     double faultRate = 0.0;  ///< per-bit MAJ3 fault probability
     uint64_t seed = 1;
     BackendKind backend = BackendKind::Ambit;
@@ -77,9 +80,9 @@ struct EngineConfig
      * delta into radix digits and issue ONE masked k-ary increment
      * per populated (digit, k) plane, bounding fabric programs per
      * bucket at O(D*(R-1)) per group instead of O(ops). Final counter
-     * values are bit-identical to per-op replay; signed-mode groups,
-     * Unit counting and buckets the plan cannot beat fall back to the
-     * per-op path automatically.
+     * values are bit-identical to per-op replay; signed-mode groups
+     * and buckets the plan cannot beat fall back to the per-op path
+     * automatically.
      */
     bool drainPlanner = true;
     /**

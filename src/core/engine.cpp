@@ -211,35 +211,21 @@ C2MEngine::accumulate(uint64_t value, unsigned mask_handle,
         const unsigned k = digits[pos];
         if (k == 0)
             continue;
-        if (cfg_.counting == CountMode::Kary) {
-            incrementDigit(group, pos, k, mask_row);
-        } else {
-            for (unsigned u = 0; u < k; ++u)
-                incrementDigit(group, pos, 1, mask_row);
-        }
+        incrementDigit(group, pos, k, mask_row);
     }
 
-    if (signed_mode) {
-        // Signed groups keep Onext fully resolved so the flag's
-        // meaning (overflow vs borrow) can switch per input.
+    // Signed groups keep Onext fully resolved so the flag's meaning
+    // (overflow vs borrow) can switch per input.
+    if (signed_mode)
         resolveAllPendings(group, /*borrows=*/false);
-    } else if (cfg_.ripple == RippleMode::FullRipple) {
-        // One unconditional ripple per digit boundary, highest first
-        // so carries always land in a just-resolved digit.
-        for (unsigned d : sched.fullPassDescending())
-            ripple(group, d);
-    }
     ++stats_.inputsAccumulated;
 }
 
 void
 C2MEngine::planPrepare(std::span<const MaskedStep> steps,
-                       unsigned group, std::vector<PlanRipple> &pre,
-                       std::vector<PlanRipple> &post)
+                       unsigned group, std::vector<PlanRipple> &pre)
 {
     C2M_ASSERT(group < cfg_.numGroups, "group out of range");
-    C2M_ASSERT(cfg_.counting == CountMode::Kary,
-               "drain plans require k-ary counting");
     C2M_ASSERT(!groupHasDecrements_[group],
                "drain plans require an unsigned-mode group");
     if (steps.empty())
@@ -271,15 +257,11 @@ C2MEngine::planPrepare(std::span<const MaskedStep> steps,
     for (unsigned d : sched.prepareAdd(worst))
         pre.push_back({d, true});
     sched.applyAdd(worst);
-    if (cfg_.ripple == RippleMode::FullRipple)
-        for (unsigned d : sched.fullPassDescending())
-            post.push_back({d, true});
 }
 
 void
 C2MEngine::executePlan(std::span<const MaskedStep> steps,
                        std::span<const PlanRipple> pre,
-                       std::span<const PlanRipple> post,
                        unsigned group, unsigned plane_handle,
                        uint64_t folded_ops)
 {
@@ -328,9 +310,6 @@ C2MEngine::executePlan(std::span<const MaskedStep> steps,
         }
         ++stats_.planPrograms;
     }
-
-    for (const auto &r : post)
-        gangRipple(r);
 }
 
 void

@@ -21,6 +21,11 @@
  * features a substrate offers is advertised through BackendCaps and
  * asserted at configuration time.
  *
+ * The engine runs one counting policy, k-ary increments with IARM
+ * rippling. The Fig. 8 unit-increment and full-ripple baselines are
+ * cost comparisons only (C2mCostModel with CountMode::Unit /
+ * RippleMode::FullRipple); no engine path executes them.
+ *
  * Counter groups:
  *  - kernels needing signed results use two groups dual-rail
  *    (accumulate positive contributions in group 0, negative in
@@ -168,25 +173,22 @@ class C2MEngine
      * work runs.
      *
      * Requirements (planners fall back to per-op replay otherwise):
-     * Kary counting, group not in signed mode, each counter covered
-     * by at most one step per digit position.
+     * group not in signed mode, each counter covered by at most one
+     * step per digit position.
      *
      * Validates @p steps, builds the per-digit worst-case profile,
      * advances the group's IARM scheduler (prepareAdd/applyAdd) and
-     * appends the ripples the plan owes to @p pre — plus, in
-     * FullRipple mode, the unconditional post-pass to @p post.
-     * Touches no fabric state; the caller decides each ripple's gang
-     * role and then runs executePlan.
+     * appends the ripples the plan owes to @p pre. Touches no fabric
+     * state; the caller decides each ripple's gang role and then runs
+     * executePlan.
      */
     void planPrepare(std::span<const MaskedStep> steps,
-                     unsigned group, std::vector<PlanRipple> &pre,
-                     std::vector<PlanRipple> &post);
+                     unsigned group, std::vector<PlanRipple> &pre);
 
     /**
      * Fabric half of a prepared plan: broadcast the @p pre ripples,
      * write each step's plane mask into mask row @p plane_handle and
-     * issue the masked increment under it, then the @p post
-     * full-ripple pass.
+     * issue the masked increment under it.
      * Lead ripples/steps charge FabricCat::Plan (mask writes
      * MaskWrite as usual); follower ones charge PlanFanout and count
      * their AAP/AP commands as ganged — executed in lockstep under
@@ -196,8 +198,7 @@ class C2MEngine
      * per-op path.
      */
     void executePlan(std::span<const MaskedStep> steps,
-                     std::span<const PlanRipple> pre,
-                     std::span<const PlanRipple> post, unsigned group,
+                     std::span<const PlanRipple> pre, unsigned group,
                      unsigned plane_handle, uint64_t folded_ops);
 
     /**

@@ -57,7 +57,7 @@ planIncrementNs(const EngineConfig &cfg)
     }
     const C2mCostModel model(cfg.radix, cfg.capacityBits,
                              cfg.protection == Protection::Ecc,
-                             cfg.frChecks, cfg.counting, cfg.ripple);
+                             cfg.frChecks);
     for (unsigned k = 1; k < cfg.radix; ++k)
         inc[k] = static_cast<double>(model.incrementOps(k)) * cmd_ns;
     return inc;
@@ -99,7 +99,7 @@ ShardedEngine::ShardedEngine(const EngineConfig &cfg,
     C2M_ASSERT(cfg.numCounters >= num_shards,
                "fewer counters than shards");
 
-    if (cfg.drainPlanner && cfg.counting == CountMode::Kary)
+    if (cfg.drainPlanner)
         planIncNs_ = planIncrementNs(cfg);
 
     const bool nvm = cfg.backend == BackendKind::NvmPinatubo ||
@@ -240,20 +240,17 @@ ShardedEngine::prepareShardParts(unsigned s,
         p.touched.clear();
         p.steps.clear();
         p.pre.clear();
-        p.post.clear();
         p.fallbackNs = 0.0;
         p.planned = false;
         return p;
     };
-    // One part holds every sum when the planner is off or counting is
-    // Unit (no k-ary planes; the sums replay per-op and count as
-    // fallback), or when the whole bucket targets one group, the
-    // common case. Otherwise partition by group (first-appearance
-    // order, per-group op order preserved); groups hold independent
-    // counter state, so draining them one after another cannot
-    // change any value.
-    const bool plan =
-        cfg_.drainPlanner && cfg_.counting == CountMode::Kary;
+    // One part holds every sum when the planner is off (the sums
+    // replay per-op and count as fallback), or when the whole bucket
+    // targets one group, the common case. Otherwise partition by
+    // group (first-appearance order, per-group op order preserved);
+    // groups hold independent counter state, so draining them one
+    // after another cannot change any value.
+    const bool plan = cfg_.drainPlanner;
     if (!plan || std::all_of(sums.begin(), sums.end(),
                              [&](const BatchOp &op) {
                                  return op.group == sums.front().group;
@@ -495,32 +492,28 @@ ShardedEngine::planParts(std::span<const unsigned> shard_ids)
                     {static_cast<unsigned>(idx / (R - 1)),
                      static_cast<unsigned>(idx % (R - 1)) + 1,
                      &p->planes[idx], plane_lead[idx] == s});
-            shards_[s]->planPrepare(p->steps, g, p->pre, p->post);
+            shards_[s]->planPrepare(p->steps, g, p->pre);
         }
         // Gang the scheduled ripples per (digit, occurrence): the
         // first shard needing the j-th ripple of digit d leads it,
         // later shards' j-th occurrences ride its issue slot. Ripple
         // programs depend only on (group, digit), so the command
         // streams are identical across shards.
-        const auto gangRipples = [&](const bool post_pass) {
-            issued.clear();
-            for (auto &[s, p] : cand) {
-                (void)s;
-                occ.clear();
-                for (PlanRipple &r : post_pass ? p->post : p->pre) {
-                    const unsigned j = occ[r.digit]++;
-                    unsigned &lead = issued[r.digit];
-                    if (j < lead) {
-                        r.lead = false;
-                    } else {
-                        r.lead = true;
-                        lead = j + 1;
-                    }
+        issued.clear();
+        for (auto &[s, p] : cand) {
+            (void)s;
+            occ.clear();
+            for (PlanRipple &r : p->pre) {
+                const unsigned j = occ[r.digit]++;
+                unsigned &lead = issued[r.digit];
+                if (j < lead) {
+                    r.lead = false;
+                } else {
+                    r.lead = true;
+                    lead = j + 1;
                 }
             }
-        };
-        gangRipples(false);
-        gangRipples(true);
+        }
     }
 }
 
@@ -538,7 +531,7 @@ ShardedEngine::execShardParts(unsigned s)
     for (size_t i = 0; i < sc.partsUsed; ++i) {
         PlanPart &p = sc.parts[i];
         if (p.planned) {
-            eng.executePlan(p.steps, p.pre, p.post, p.group,
+            eng.executePlan(p.steps, p.pre, p.group,
                             kPlaneMask, p.ops.size());
         } else {
             // Demoted or ineligible parts replay per-op and count as

@@ -43,8 +43,8 @@
  * reserved plane-mask row per shard; cached increment programs bind
  * that row when they run, so their keys depend only on (digit, k)
  * and replay across planes and epochs. Signed-mode groups, buckets
- * with a negative sum, Unit counting, and buckets whose modeled
- * fabric cost (C2mCostModel command counts priced by DramTimings)
+ * with a negative sum, and buckets whose modeled fabric cost
+ * (C2mCostModel's k-ary/IARM command counts priced by DramTimings)
  * does not beat per-op replay of the same sums fall back to the
  * serial path; either path yields bit-identical counter values.
  *
@@ -231,7 +231,7 @@ class ShardedEngine
     EngineStats statsSince(std::span<const EngineStats> begin) const;
 
   private:
-    /** Scrub sweeps of due shards run through runShards. */
+    /** Scrub sweeps run through runShards over allShards_. */
     friend class reliability::Scrubber;
 
     /**
@@ -248,7 +248,7 @@ class ShardedEngine
     /**
      * One group's slice of a shard's summed bucket, carried through
      * the epoch pipeline: stage 1/2 fill ops and planes, stage 3
-     * decides `planned` and fills steps/pre/post with gang roles,
+     * decides `planned` and fills steps/pre with gang roles,
      * stage 4 executes. Reused across epochs so the steady-state
      * drain path performs no per-op allocation (plane masks are
      * lazily sized once per part, D x (R-1) shard-width rows).
@@ -269,7 +269,6 @@ class ShardedEngine
         std::vector<uint32_t> touched;  ///< plane indices this plan
         std::vector<MaskedStep> steps;  ///< stage-3 sliced program
         std::vector<PlanRipple> pre;    ///< scheduled IARM ripples
-        std::vector<PlanRipple> post;   ///< FullRipple post-pass
         /** Modeled ns of replaying this part's ops per-op. */
         double fallbackNs = 0.0;
         /** Plan candidate after stage 2; final verdict after 3. */

@@ -1,7 +1,5 @@
 #include "reliability/scrubber.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 #include "obs/trace.hpp"
 
@@ -27,15 +25,8 @@ Scrubber::supports(core::ShardedEngine &engine)
     return engine.shard(0).backend().caps().rowScrub;
 }
 
-Scrubber::Scrubber(core::ShardedEngine &engine,
-                   const ScrubConfig &cfg)
-    : engine_(engine),
-      cfg_(cfg),
-      appliedFrChecks_(engine.config().frChecks),
-      health_(cfg.health),
-      liveInterval_(cfg.interval)
+Scrubber::Scrubber(core::ShardedEngine &engine) : engine_(engine)
 {
-    C2M_ASSERT(cfg.interval >= 1, "scrub interval must be >= 1");
     C2M_ASSERT(supports(engine),
                "engine backend does not support row scrubbing");
 
@@ -50,16 +41,7 @@ Scrubber::Scrubber(core::ShardedEngine &engine,
                 eng.backend().layout(eng.physicalGroup(g, 0)),
                 engine.shardWidth(s));
         st.lastTra = eng.backend().opStats().tra;
-        st.decayRng = Rng(engine.config().seed ^
-                          (0x9e3779b97f4a7c15ULL * (s + 1)));
     }
-}
-
-unsigned
-Scrubber::interval() const
-{
-    std::lock_guard<std::mutex> lk(m_);
-    return liveInterval_;
 }
 
 void
@@ -100,81 +82,20 @@ Scrubber::onEpochApplied(uint64_t)
 }
 
 void
-Scrubber::onStop(uint64_t)
-{
-    // Cadence and budget no longer apply: whatever journal entries
-    // the interval spacing deferred must reconcile now, so reads
-    // after the service stops see exact counters.
-    beginBoundary();
-    scrubAll();
-}
-
-void
 Scrubber::boundary()
 {
-    beginBoundary();
-    sweepDue();
-    applyAdaptive();
-}
-
-void
-Scrubber::beginBoundary()
-{
-    ++boundary_;
     {
         std::lock_guard<std::mutex> lk(m_);
         ++aggregate_.boundaries;
     }
-    if (cfg_.storeFaultRate > 0.0)
-        injectStoreDecay();
+    engine_.runShards(engine_.allShards_,
+                      [this](core::C2MEngine &eng, unsigned s) {
+                          sweepShard(eng, shards_[s]);
+                      });
 }
 
 void
-Scrubber::injectStoreDecay()
-{
-    for (auto &st : shards_)
-        for (auto &mirror : st.mirrors)
-            for (size_t r = 0; r < mirror.numRows(); ++r)
-                mirror.row(r).injectFaults(st.decayRng,
-                                           cfg_.storeFaultRate);
-}
-
-void
-Scrubber::sweepDue()
-{
-    const unsigned n = engine_.numShards();
-    unsigned interval;
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        interval = liveInterval_;
-    }
-
-    std::vector<unsigned> due;
-    for (unsigned i = 0; i < n; ++i) {
-        const unsigned s = (rotate_ + i) % n;
-        if (boundary_ - shards_[s].lastSweepBoundary >= interval)
-            due.push_back(s);
-    }
-    if (cfg_.maxShardsPerBoundary &&
-        due.size() > cfg_.maxShardsPerBoundary)
-        due.resize(cfg_.maxShardsPerBoundary);
-    if (due.empty())
-        return;
-    rotate_ = (due.back() + 1) % n;
-    runSweeps(due);
-}
-
-void
-Scrubber::runSweeps(std::span<const unsigned> due)
-{
-    engine_.runShards(due, [this](core::C2MEngine &eng, unsigned s) {
-        sweepShard(eng, shards_[s], boundary_);
-    });
-}
-
-void
-Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
-                     uint64_t boundary)
+Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st)
 {
     const unsigned groups = engine_.config().numGroups;
     ScrubStats d;
@@ -211,7 +132,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
 
     // Verify-and-correct every persistent counter row of every
     // replica against the canonical expected image.
-    uint64_t words_swept = 0;
     for (unsigned g = 0; g < groups; ++g) {
         RowMirror &mirror = st.mirrors[g];
         mirror.encodeValues(values[g]);
@@ -228,7 +148,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
                 mirror.dataBitsInto(r, expected);
                 diff.assignXor(got, expected);
                 ++d.rowsScrubbed;
-                words_swept += mirror.codec().numWords();
                 const size_t flips = diff.popcount();
                 if (flips == 0)
                     continue;
@@ -250,10 +169,6 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
     obs.faultyBits = d.faultyBits;
     obs.traDelta = tra_delta;
     obs.rowBits = st.mirrors.empty() ? 0 : st.mirrors[0].cols();
-    obs.wordsSwept = words_swept;
-    obs.boundaries =
-        std::max<uint64_t>(1, boundary - st.lastSweepBoundary);
-    st.lastSweepBoundary = boundary;
     d.sweepFabricNs = eng.backend().opStats().fabricNs - ns0;
     if (tr)
         tr->spanEnd("scrub.sweep", track,
@@ -265,49 +180,11 @@ Scrubber::sweepShard(core::C2MEngine &eng, ShardState &st,
 }
 
 void
-Scrubber::applyAdaptive()
-{
-    if (!cfg_.adaptive)
-        return;
-    unsigned fr;
-    {
-        std::lock_guard<std::mutex> lk(m_);
-        if (health_.samples() == 0)
-            return;
-        liveInterval_ = health_.recommendedInterval();
-        fr = health_.recommendedFrChecks();
-    }
-    if (engine_.config().protection != core::Protection::Ecc ||
-        fr == appliedFrChecks_)
-        return;
-    bool any = false;
-    for (unsigned s = 0; s < engine_.numShards(); ++s)
-        engine_.runShardTask(
-            s, [&any, fr](core::C2MEngine &eng, size_t) {
-                any |= eng.backend().setFrChecks(fr);
-            });
-    appliedFrChecks_ = fr;
-    if (any) {
-        std::lock_guard<std::mutex> lk(m_);
-        ++aggregate_.frRetunes;
-    }
-}
-
-void
-Scrubber::scrubAll()
-{
-    std::vector<unsigned> all(engine_.numShards());
-    for (unsigned s = 0; s < all.size(); ++s)
-        all[s] = s;
-    runSweeps(all);
-}
-
-void
 Scrubber::sweepNow(unsigned s)
 {
     C2M_ASSERT(s < shards_.size(), "shard index out of range: ", s);
     engine_.runShardTask(s, [this, s](core::C2MEngine &eng, size_t) {
-        sweepShard(eng, shards_[s], boundary_);
+        sweepShard(eng, shards_[s]);
     });
 }
 

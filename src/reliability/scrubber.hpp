@@ -7,13 +7,13 @@
  *
  * The Scrubber keeps, per shard and logical counter group, an
  * ECC-encoded RowMirror (the trusted side store) plus a journal of
- * the point-update deltas applied since the group's last sweep. At
- * an epoch boundary — hooked through service::EpochObserver, or
- * driven explicitly in standalone mode — due shards are swept:
+ * the point-update deltas applied since the group's last sweep. The
+ * scrubber has one policy: every epoch boundary — hooked through
+ * service::EpochObserver (the service's stop() included), or driven
+ * explicitly in standalone mode — sweeps every shard:
  *
  *   1. the mirror itself is SEC-DED decode-corrected (it models
- *      spare DRAM rows and may decay) and its counter values are
- *      recovered;
+ *      spare DRAM rows) and its counter values are recovered;
  *   2. journaled deltas are applied, giving the expected values;
  *   3. the shard is drained, putting fault-free counter state into
  *      canonical form (a pure function of the values);
@@ -29,9 +29,8 @@
  * the true sums, a swept run ends bit-identical to a fault-free
  * serial replay whatever the injected CIM fault rate — the property
  * pinned by test_reliability.cpp. Sweep outcomes feed the
- * HealthMonitor, which (with ScrubConfig::adaptive) retunes the
- * sweep cadence and the live FR-check count of ECC-protected
- * backends against ecc::ProtectionModel targets.
+ * HealthMonitor's blind fault-rate estimate, which is reported and
+ * never acted on: the engine's FR-check count stays as configured.
  *
  * Coverage contract: the scrubber sees point updates only (epoch
  * buckets or noteBatch). Broadcast accumulates and tensor ops bypass
@@ -58,7 +57,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "common/statfields.hpp"
 #include "core/sharded.hpp"
 #include "reliability/health.hpp"
@@ -67,21 +65,6 @@
 
 namespace c2m {
 namespace reliability {
-
-struct ScrubConfig
-{
-    /** Epoch boundaries between sweeps of one shard. */
-    unsigned interval = 1;
-    /** Budget: at most this many shard sweeps per boundary
-     *  (0 = unlimited). Overdue shards rotate fairly. */
-    unsigned maxShardsPerBoundary = 0;
-    /** Let the HealthMonitor retune interval and FR checks. */
-    bool adaptive = false;
-    /** Per-bit decay injected into the mirror store per boundary
-     *  (campaigns; exercises the side store's own SEC-DED). */
-    double storeFaultRate = 0.0;
-    HealthConfig health;
-};
 
 /** ScrubStats fields, one row each (common/statfields.hpp). */
 #define C2M_SCRUB_STATS_FIELDS(X)                                     \
@@ -100,9 +83,8 @@ struct ScrubConfig
     X(uint64_t, mirrorBitsCorrected,                                  \
       "reliability.mirror_bits_corrected", Sum)                       \
     X(uint64_t, mirrorWordsLost, "reliability.mirror_words_lost", Sum) \
-    /* deltas recorded since attach / live FR-check changes applied */ \
+    /* deltas recorded since attach */                                \
     X(uint64_t, opsJournaled, "reliability.ops_journaled", Sum)       \
-    X(uint64_t, frRetunes, "reliability.fr_retunes", Sum)             \
     /* modeled fabric ns spent inside sweeps (drain + row scrub) */   \
     X(double, sweepFabricNs, "reliability.sweep_fabric_ns", Sum)
 
@@ -120,22 +102,15 @@ class Scrubber final : public service::EpochObserver
      * engine's counters must be in their cleared state — the initial
      * mirrors assume zero. Requires a backend with caps().rowScrub.
      */
-    explicit Scrubber(core::ShardedEngine &engine,
-                      const ScrubConfig &cfg = {});
+    explicit Scrubber(core::ShardedEngine &engine);
 
     /** True iff @p engine's substrate supports row scrubbing. */
     static bool supports(core::ShardedEngine &engine);
-
-    const ScrubConfig &config() const { return cfg_; }
-    /** Live sweep cadence (cfg.interval unless adaptive retuned). */
-    unsigned interval() const;
 
     // ---- service::EpochObserver (drainer thread) ----
     void onShardOps(unsigned shard,
                     std::span<const core::BatchOp> ops) override;
     void onEpochApplied(uint64_t epoch) override;
-    /** Full sweep: deferred (budgeted/interval) work must finish. */
-    void onStop(uint64_t epoch) override;
     CounterMap counters() const override;
 
     // ---- Standalone mode (bare ShardedEngine, single driver) ----
@@ -143,15 +118,12 @@ class Scrubber final : public service::EpochObserver
     /** Journal a batch applied via accumulateBatch/runShardOps. */
     void noteBatch(std::span<const core::BatchOp> ops);
 
-    /** Advance one boundary: sweep due shards per cadence/budget. */
+    /** Advance one boundary: sweep every shard. */
     void boundary();
 
-    /** Sweep every shard now, regardless of cadence. */
-    void scrubAll();
-
     /**
-     * Sweep shard @p s now, regardless of cadence or budget. This is
-     * the virtualization layer's pre-write hook: before rewriting a
+     * Sweep shard @p s now, between boundaries. This is the
+     * virtualization layer's pre-write hook: before rewriting a
      * shard's counter rows (spill/restore) it heals the shard and
      * applies the pending journal, so the subsequent rebaseShard()
      * cannot adopt faulty or stale state.
@@ -184,41 +156,25 @@ class Scrubber final : public service::EpochObserver
         std::vector<RowMirror> mirrors; ///< per logical group
         /** (group << 40 | local column) -> pending delta sum. */
         std::unordered_map<uint64_t, int64_t> journal;
-        uint64_t lastSweepBoundary = 0;
         uint64_t lastTra = 0; ///< fabric TRA count at last sweep
         ScrubStats stats;
-        Rng decayRng{1};
     };
 
-    /** Shared boundary prologue: advance cadence, decay the store. */
-    void beginBoundary();
-    void sweepDue();
-    /** Sweep @p due shards in parallel (ShardedEngine::runShards). */
-    void runSweeps(std::span<const unsigned> due);
     /** Sweep one shard (caller holds its single-writer guard). */
-    void sweepShard(core::C2MEngine &eng, ShardState &st,
-                    uint64_t boundary);
-    void injectStoreDecay();
-    void applyAdaptive();
+    void sweepShard(core::C2MEngine &eng, ShardState &st);
 
     core::ShardedEngine &engine_;
-    ScrubConfig cfg_;
     std::vector<ShardState> shards_;
-    uint64_t boundary_ = 0; ///< boundaries seen (drainer/driver only)
-    unsigned rotate_ = 0;   ///< budget fairness cursor
-    unsigned appliedFrChecks_ = 0; ///< last live FR-check retune
 
     /**
-     * Guards aggregate_, health_, liveInterval_ and every
-     * ShardState::stats block: sweeps (pool lanes) append their
-     * deltas under it, readers (counters()/stats() from reporting
-     * threads) sum under it. Mirrors and journals need no lock — they
+     * Guards aggregate_, health_ and every ShardState::stats block:
+     * sweeps (pool lanes) append their deltas under it, readers
+     * (counters()/stats() from reporting threads) sum under it. Mirrors and journals need no lock — they
      * are touched only with the owning shard quiescent.
      */
     mutable std::mutex m_;
-    ScrubStats aggregate_; ///< boundary/journal/retune counters
+    ScrubStats aggregate_; ///< boundary/journal counters
     HealthMonitor health_;
-    unsigned liveInterval_; ///< adaptive cadence (cfg.interval seed)
 };
 
 } // namespace reliability

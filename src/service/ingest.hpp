@@ -139,8 +139,9 @@ class EpochObserver
     /**
      * Service shutting down after the last ops were applied; the
      * engine stays quiescent from here on. Observers that defer work
-     * across boundaries (budgeted/interval scrubbing) must finish it
-     * now so post-stop engine reads see fully reconciled state.
+     * across boundaries must finish it now so post-stop engine reads
+     * see fully reconciled state. By default stop is one more
+     * boundary (the scrubber's final sweep of every shard).
      */
     virtual void onStop(uint64_t epoch) { onEpochApplied(epoch); }
 

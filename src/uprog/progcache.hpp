@@ -82,7 +82,8 @@ struct ProgramKeyHash
  * reference the owning engine's EngineStats counters so shard merges
  * see cache effectiveness without extra plumbing. Replayed programs
  * are bit-identical to regeneration (pinned by running an op stream
- * on a cold cache and again, after clear(), on the warm one).
+ * on a cold cache and again, after the engine's counters are
+ * cleared, on the warm one). Entries live as long as the backend.
  */
 template <typename Program> class ProgramCache
 {
@@ -105,12 +106,6 @@ template <typename Program> class ProgramCache
     }
 
     size_t size() const { return map_.size(); }
-
-    /**
-     * Drop every cached program (e.g. after the generator's options
-     * changed); later lookups regenerate and count as misses.
-     */
-    void clear() { map_.clear(); }
 
   private:
     uint64_t &hits_;

@@ -13,10 +13,8 @@
 
 using namespace c2m;
 using core::C2MEngine;
-using core::CountMode;
 using core::EngineConfig;
 using core::Protection;
-using core::RippleMode;
 
 namespace {
 
@@ -65,52 +63,6 @@ TEST_P(EngineRadix, MaskedAccumulationMatchesArithmetic)
 
     EXPECT_EQ(eng.readCounters(), expected) << "radix=" << radix;
     EXPECT_EQ(eng.stats().invalidStates, 0u);
-}
-
-TEST_P(EngineRadix, FullRippleModeAgreesWithIarm)
-{
-    const unsigned radix = GetParam();
-    auto cfg = smallConfig(radix);
-    C2MEngine iarm(cfg);
-    cfg.ripple = RippleMode::FullRipple;
-    C2MEngine full(cfg);
-
-    std::vector<uint8_t> mask(16, 1);
-    const unsigned hi = iarm.addMask(mask);
-    const unsigned hf = full.addMask(mask);
-
-    Rng rng(17);
-    for (int step = 0; step < 40; ++step) {
-        const uint64_t v = rng.nextBounded(512);
-        iarm.accumulate(v, hi);
-        full.accumulate(v, hf);
-    }
-    EXPECT_EQ(iarm.readCounters(), full.readCounters());
-    // IARM must issue (strictly) fewer ripples.
-    EXPECT_LT(iarm.stats().ripples, full.stats().ripples);
-}
-
-TEST_P(EngineRadix, UnitCountingAgreesWithKary)
-{
-    const unsigned radix = GetParam();
-    auto cfg = smallConfig(radix);
-    C2MEngine kary(cfg);
-    cfg.counting = CountMode::Unit;
-    C2MEngine unit(cfg);
-
-    std::vector<uint8_t> mask(16, 1);
-    const unsigned hk = kary.addMask(mask);
-    const unsigned hu = unit.addMask(mask);
-
-    Rng rng(23);
-    for (int step = 0; step < 15; ++step) {
-        const uint64_t v = rng.nextBounded(200);
-        kary.accumulate(v, hk);
-        unit.accumulate(v, hu);
-    }
-    EXPECT_EQ(kary.readCounters(), unit.readCounters());
-    // k-ary needs fewer increment muPrograms.
-    EXPECT_LE(kary.stats().increments, unit.stats().increments);
 }
 
 INSTANTIATE_TEST_SUITE_P(Radices, EngineRadix,

@@ -185,17 +185,20 @@ TEST_P(IarmRadix, FewerRipplesThanFullPropagation)
     const unsigned num_digits =
         jc::digitsForCapacity(radix, 200ULL * 255 + 1) + 1;
     jc::IarmScheduler iarm(radix, num_digits);
-    jc::FullRippleScheduler full(radix, num_digits);
+    // Full-rippling baseline (Fig. 8): the same scheduler followed by
+    // one unconditional descending pass over every digit boundary
+    // after each input.
+    jc::IarmScheduler full(radix, num_digits);
     Rng rng(7);
 
     for (int i = 0; i < 200; ++i) {
         const auto digits =
             jc::toDigits(1 + rng.nextBounded(255), radix);
-        for (unsigned d : iarm.prepareAdd(digits))
-            (void)d;
+        iarm.prepareAdd(digits);
         iarm.applyAdd(digits);
         full.prepareAdd(digits);
-        full.afterAdd();
+        full.applyAdd(digits);
+        full.fullPassDescending();
     }
     EXPECT_LT(iarm.ripplesIssued(), full.ripplesIssued())
         << "radix=" << radix;
